@@ -8,29 +8,25 @@ sweep (full grid), sanity (ablation suite), oracle (brute force), report
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import baselines as bl
 from . import mask as mk
 from . import objectives as obj
-from . import tensor as T
 from .data import load_dataset
-from .experiment import (ExperimentConfig, load_config, report, run_cell,
-                         run_experiment)
+from .experiment import (ExperimentConfig, ExperimentError, load_config, report,
+                         run_cell, run_experiment)
 from .models import TrainConfig, build_model, evaluate, train
 from .oracle import brute_force_oracle
-from .search import SearchConfig, run_cts
+from .search import SearchConfig, SearchError, run_cts
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
-    p.add_argument("--precision", choices=["float32", "float64"], default="float64")
     p.add_argument("--dataset", default="blobs:classes=4,dim=20,n=4000,seed=7")
     p.add_argument("--arch", default="mlp-2x256")
 
@@ -100,16 +96,20 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-        if args.out != "out":
-            cfg.out_dir = args.out
-    else:
-        cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
-                               sparsities=tuple(float(s) for s in args.sparsities.split(",")),
-                               repeats=args.repeats, seed=args.seed, out_dir=args.out,
-                               search=_search_cfg(args), train=_train_cfg(args),
-                               workers=args.workers, sanity=args.sanity)
+    try:
+        if args.config:
+            cfg = load_config(args.config)
+            if args.out != "out":
+                cfg.out_dir = args.out
+        else:
+            cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
+                                   sparsities=tuple(float(s) for s in args.sparsities.split(",")),
+                                   repeats=args.repeats, seed=args.seed, out_dir=args.out,
+                                   search=_search_cfg(args), train=_train_cfg(args),
+                                   workers=args.workers, sanity=args.sanity)
+    except (ExperimentError, SearchError, ValueError, configparser.Error) as e:
+        print(f"cts {args.command}: bad config: {e}", file=sys.stderr)
+        return 2
     records, failures = run_experiment(cfg)
     print(f"cells={len(records)} failures={len(failures)} out={cfg.out_dir}")
     return 1 if failures else 0
@@ -196,8 +196,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
-    if getattr(args, "precision", "float64") == "float32":
-        T.set_default_dtype(np.float32)
     return args.fn(args)
 
 

@@ -95,10 +95,6 @@ def adam_update(dist: MaskDistribution, g_alpha: np.ndarray, adam: AdamState) ->
     return dist
 
 
-def _sample_eps(dist: MaskDistribution, rng: np.random.Generator) -> np.ndarray:
-    return sample_logistic(rng, dist.d)
-
-
 def lagrange_step(model: ModelState, dist: MaskDistribution, state: ControllerState,
                   batch, objective: str,
                   rng: np.random.Generator) -> tuple[np.ndarray, float, float, float]:
@@ -110,7 +106,7 @@ def lagrange_step(model: ModelState, dist: MaskDistribution, state: ControllerSt
     if state.mode != "lagrange":
         raise ControllerError("controller state is not in lagrange mode")
     x, y = batch
-    eps = _sample_eps(dist, rng)
+    eps = sample_logistic(rng, dist.d)
     r_val, g_obj = obj.value_and_alpha_grad(objective, model, x, y,
                                             dist.logits, eps, dist.tau)
     ls = sparsity_loss(dist, state.kappa)
@@ -132,7 +128,7 @@ def gradbalance_step(model: ModelState, dist: MaskDistribution, state: Controlle
     if state.mode != "gradbalance":
         raise ControllerError("controller state is not in gradbalance mode")
     x, y = batch
-    eps = _sample_eps(dist, rng)
+    eps = sample_logistic(rng, dist.d)
     r_val, g_obj = obj.value_and_alpha_grad(objective, model, x, y,
                                             dist.logits, eps, dist.tau)
     kappa_eff = state.kappa_eff

@@ -1,8 +1,9 @@
 """Experiment orchestration: sweeps over (method, sparsity, seed) grids.
 
 Each grid cell is fully isolated (its own seeds and output files) and
-resumable: a finished cell leaves a JSON record plus a ticket file with a
-recorded checksum, and reruns skip cells whose outputs verify. The summary
+resumable: a finished cell leaves a JSON record plus a ticket file, the
+record holding the ticket's checksum and a fingerprint of the cell's config;
+reruns skip cells whose outputs verify under the same config. The summary
 CSV is assembled from cell records in canonical order, so reruns with the
 same config are byte-identical. Wall times go to a separate sidecar, which
 is the one deliberately non-deterministic output.
@@ -14,9 +15,10 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,11 +146,7 @@ def _apply_ablation(variant, ticket, info, rewind, data, tcfg, seed):
         model = bl.sanity_ablate(ticket, "reinit", rewind, seed + 7)
     else:
         raise ExperimentError(f"unknown sanity variant '{variant}'")
-    v = model.maskable_vector()
-    v[ticket.mask == 0] = 0.0
-    masked = model.copy()
-    masked.set_maskable_vector(v)
-    final = train(masked, data, tcfg, mask=ticket.mask.astype(np.float64),
+    final = train(model, data, tcfg, mask=ticket.mask.astype(np.float64),
                   start_step=tcfg.rewind_step)
     return ticket, final
 
@@ -175,11 +173,7 @@ def _run_pai_cell(cfg, method, data: Dataset, kappa, seed, tcfg: TrainConfig):
     ex, ey = data.eval_batch(seed=seed + 1)
     value = obj.hard_value(cfg.search.objective, model_k, ex, ey,
                            ticket.mask.astype(np.float64))
-    v = model_k.maskable_vector()
-    v[ticket.mask == 0] = 0.0
-    masked = model_k.copy()
-    masked.set_maskable_vector(v)
-    final = train(masked, data, tcfg, mask=ticket.mask.astype(np.float64), start_step=k)
+    final = train(model_k, data, tcfg, mask=ticket.mask.astype(np.float64), start_step=k)
     return ticket, final, value
 
 
@@ -194,24 +188,45 @@ def _cell_id(method: str, sparsity: float, rep: int, variant: str = "") -> str:
     return f"{tag}_s{_fmt(sparsity)}_r{rep}"
 
 
+def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str) -> str:
+    """sha256 of the config values a cell's result depends on: not the output
+    location, worker count or grid shape (sparsities, repeats, sanity)."""
+    doc = {k: v for k, v in asdict(cfg).items()
+           if k not in ("out_dir", "workers", "sparsities", "repeats", "sanity")}
+    return hashlib.sha256(json.dumps([doc, sparsity, rep, variant], sort_keys=True).encode()).hexdigest()
+
+
+def _replace_file(path: Path, write) -> None:
+    """write(tmp) then rename over path, so a reader never sees a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 def _run_cell_job(args):
     cfg, sparsity, rep, variant, out_dir = args
     cell = _cell_id(cfg.method, sparsity, rep, variant)
     cell_json = Path(out_dir) / "cells" / f"{cell}.json"
     ticket_path = Path(out_dir) / "cells" / f"{cell}.ticket.json"
-    if cell_json.exists() and ticket_path.exists():
+    fingerprint = _cell_fingerprint(cfg, sparsity, rep, variant)
+    try:  # reuse the cell only if its record parses and matches its ticket and config
         doc = json.loads(cell_json.read_text())
-        if doc.get("ticket_sha256") == _sha256(ticket_path):
-            return cell, None  # verified; skip
+        if doc["config_sha256"] == fingerprint and doc["ticket_sha256"] == _sha256(ticket_path):
+            return cell, None
+    except (OSError, ValueError, LookupError, TypeError):  # missing, truncated or foreign
+        pass
+    cell_json.unlink(missing_ok=True)  # a failed rerun must not leave a stale record
     try:
         record, ticket = run_cell(cfg, sparsity, rep, variant)
     except Exception as e:  # cell failures recorded, sweep continues
         return cell, f"{type(e).__name__}: {e}"
-    mk.save_ticket(ticket_path, ticket, arch=cfg.arch, kappa=1.0 - sparsity,
-                   meta={"method": record.method, "seed": record.seed})
+    _replace_file(ticket_path, lambda p: mk.save_ticket(
+        p, ticket, arch=cfg.arch, kappa=1.0 - sparsity,
+        meta={"method": record.method, "seed": record.seed}))
     doc = asdict(record)
     doc["ticket_sha256"] = _sha256(ticket_path)
-    cell_json.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    doc["config_sha256"] = fingerprint
+    _replace_file(cell_json, lambda p: p.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n"))
     return cell, None
 
 
@@ -259,6 +274,7 @@ def _collect_records(out: Path) -> list[MetricsRecord]:
             continue
         doc = json.loads(path.read_text())
         doc.pop("ticket_sha256", None)
+        doc.pop("config_sha256", None)
         records.append(MetricsRecord(**doc))
     records.sort(key=lambda r: (r.method, r.sparsity, r.seed))
     return records
@@ -356,5 +372,5 @@ def load_config(path) -> ExperimentConfig:
     if cp.has_section("ltr"):
         cfg.ltr_prune_fraction = cp.getfloat("ltr", "prune_fraction",
                                              fallback=cfg.ltr_prune_fraction)
-    ExperimentConfig.__post_init__(cfg)
-    return cfg
+    # rebuilt so that every config class checks the values read into it
+    return replace(cfg, search=replace(cfg.search), train=replace(cfg.train))

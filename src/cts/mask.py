@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
 TAU_DEFAULT = 2.0 / 3.0
 KAPPA_CLAMP = 1.0 - 1e-9
@@ -25,20 +24,12 @@ class MaskError(Exception):
     pass
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass
 class MaskDistribution:
     logits: np.ndarray
     tau: float
     layout: list[tuple[str, int]] = field(default_factory=list)
+    _alpha: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -46,7 +37,17 @@ class MaskDistribution:
 
     @property
     def alpha(self) -> np.ndarray:
-        return _sigmoid(self.logits)
+        """Retention probabilities sigmoid(logits), read-only.
+
+        Computed once per logits array: updates assign a new array to
+        ``logits`` (never edit it in place), which is what refreshes alpha.
+        """
+        src, a = self._alpha
+        if src is not self.logits:
+            a = T.stable_sigmoid(self.logits)
+            a.flags.writeable = False
+            self._alpha = (self.logits, a)
+        return a
 
 
 @dataclass
@@ -109,16 +110,15 @@ def step_rng(run_seed: int, step: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([run_seed, step, stream]))
 
 
+def soft_mask(logits: np.ndarray, eps: np.ndarray, tau: float) -> np.ndarray:
+    """Concrete relaxation sigmoid((logits + eps) / tau) for fixed noise eps."""
+    return T.stable_sigmoid((logits + eps) * (1.0 / tau))
+
+
 def sample_soft_mask(dist: MaskDistribution, rng: np.random.Generator,
                      noise_seed=None) -> SoftMask:
     eps = sample_logistic(rng, dist.d)
-    values = _sigmoid((dist.logits + eps) / dist.tau)
-    return SoftMask(values=values, noise_seed=noise_seed)
-
-
-def soft_mask_tensor(logits: Tensor, eps: np.ndarray, tau: float) -> Tensor:
-    """Tracked soft mask: sigmoid((logits + eps)/tau) with eps held constant."""
-    return T.sigmoid(T.mul(T.add(logits, Tensor(eps)), 1.0 / tau))
+    return SoftMask(values=soft_mask(dist.logits, eps, dist.tau), noise_seed=noise_seed)
 
 
 def expected_density(dist: MaskDistribution) -> float:

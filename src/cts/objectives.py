@@ -4,8 +4,8 @@ Tags: loss, dloss, gradnorm, kl, feature, grad. The teacher pass is always
 evaluated outside the gradient graph. The two gradient-based objectives
 (gradnorm, grad) differentiate a gradient: on pure dense models this uses
 double-backward; on conv models it falls back to a finite-difference
-Hessian-vector product, with the chain to the mask logits applied
-analytically.
+Hessian-vector product. Either way the graph is differentiated w.r.t. the
+soft mask, and the chain to the mask logits is applied analytically.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .mask import soft_mask
 from .models import Conv, ForwardTrace, ModelState, _flatten_specs, forward
 from .tensor import Tensor
 
@@ -79,7 +80,7 @@ def rel_loss_change(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
 def reverse_kl(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
     """Batch-mean KL(student || teacher) over softmax outputs, in log space."""
     logp_s = T.log_softmax(student.logits, axis=-1)
-    logp_t = Tensor(_log_softmax_np(teacher.logits.data))
+    logp_t = T.log_softmax(teacher.logits.detach(), axis=-1)
     p_s = T.exp(logp_s)
     per_example = T.sum_(T.mul(p_s, logp_s - logp_t), axis=-1)
     return T.mean(per_example)
@@ -111,11 +112,6 @@ def grad_match(student_grads: list[Tensor], teacher_grads: list[np.ndarray]) -> 
     for t in terms[1:]:
         total = total + t
     return T.mul(total, 1.0 / len(terms))
-
-
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def has_conv(model: ModelState) -> bool:
@@ -191,33 +187,27 @@ def value_and_alpha_grad(tag: str, model: ModelState, x, y,
                          tau: float) -> tuple[float, np.ndarray]:
     """Objective value plus its gradient w.r.t. the mask logits.
 
-    One soft-mask sample with fixed noise eps. Conv architectures route the
-    gradient-based objectives through a finite-difference Hessian-vector
-    product instead of double-backward.
+    One soft-mask sample s = sigmoid((logits + eps) / tau) with fixed noise
+    eps. The graph starts at s; the chain ds/dlogits = s (1 - s) / tau is
+    applied here in closed form. Conv architectures route the gradient-based
+    objectives through a finite-difference Hessian-vector product instead
+    of double-backward.
     """
-    kind = get_kind(tag)
-    if kind.needs_student_grads and has_conv(model):
-        return _value_and_alpha_grad_fd(tag, model, x, y, logits, eps, tau)
-    leaf = Tensor(logits, requires_grad=True)
-    from .mask import soft_mask_tensor  # local import to avoid cycle
-    s = soft_mask_tensor(leaf, eps, tau)
-    value = evaluate(tag, model, x, y, overlay=s)
-    (g,) = T.grad(value, [leaf])
-    return value.item(), g.data.copy()
+    s = soft_mask(logits, eps, tau)
+    if get_kind(tag).needs_student_grads and has_conv(model):
+        value, g_s = _value_and_soft_mask_grad_fd(tag, model, x, y, s)
+    else:
+        leaf = Tensor(s, requires_grad=True)
+        r = evaluate(tag, model, x, y, overlay=leaf)
+        (g,) = T.grad(r, [leaf])
+        value, g_s = r.item(), g.data
+    return value, g_s * (s * (1.0 - s)) * (1.0 / tau)
 
 
-def _value_and_alpha_grad_fd(tag: str, model: ModelState, x, y,
-                             logits: np.ndarray, eps: np.ndarray,
-                             tau: float) -> tuple[float, np.ndarray]:
-    s = 1.0 / (1.0 + np.exp(-np.clip((logits + eps) / tau, -500, 500)))
+def _value_and_soft_mask_grad_fd(tag: str, model: ModelState, x, y,
+                                 s: np.ndarray) -> tuple[float, np.ndarray]:
     theta = model.maskable_vector()
     theta_eff = s * theta
-    sizes = [sz for _, _, sz in model.maskable_index]
-    offs = np.cumsum([0] + sizes)
-
-    def split(vec):
-        return [vec[offs[i]:offs[i + 1]] for i in range(len(sizes))]
-
     g_layers = _maskable_grads(model, x, y, theta_eff)
     g_flat = np.concatenate([g.reshape(-1) for g in g_layers])
 
@@ -229,10 +219,8 @@ def _value_and_alpha_grad_fd(tag: str, model: ModelState, x, y,
         v = -g_flat / norm
     else:
         t_grads = teacher_layer_grads(model, x, y)
-        leaves = [Tensor(g.reshape(-1), requires_grad=True) for g in split(g_flat)]
-        shaped = [T.reshape(l, model.params[name].shape)
-                  for l, (name, _, _) in zip(leaves, model.maskable_index)]
-        r = grad_match(shaped, t_grads)
+        leaves = [Tensor(g, requires_grad=True) for g in g_layers]
+        r = grad_match(leaves, t_grads)
         value = r.item()
         gmap = T.backward(r, wrt=leaves)
         v = np.concatenate([gmap[id(l)].data.reshape(-1) for l in leaves])
@@ -248,8 +236,7 @@ def _value_and_alpha_grad_fd(tag: str, model: ModelState, x, y,
         gm_flat = np.concatenate([g.reshape(-1) for g in gm])
         dR_dtheta = (gp_flat - gm_flat) / (2 * h)
 
-    ds = s * (1.0 - s) / tau
-    return value, dR_dtheta * theta * ds
+    return value, dR_dtheta * theta
 
 
 def hard_value(tag: str, model: ModelState, x, y, mask_vec: np.ndarray) -> float:

@@ -16,8 +16,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
 _grad_enabled = True
 _finite_checks = True
 
@@ -69,14 +67,6 @@ def finite_checks(enabled: bool):
         _finite_checks = prev
 
 
-def set_default_dtype(dtype) -> None:
-    """Select float64 (default) or float32 for newly created tensors."""
-    global DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be np.float32 or np.float64")
-    DEFAULT_DTYPE = dtype
-
-
 class Tensor:
     """An immutable value in a computation graph.
 
@@ -93,7 +83,7 @@ class Tensor:
             data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -274,7 +264,7 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out = _stable_sigmoid(a.data)
+    out = stable_sigmoid(a.data)
 
     def vjp(g):
         # recompute through the graph so double-backward stays exact
@@ -284,7 +274,8 @@ def sigmoid(a) -> Tensor:
     return _make(out, "sigmoid", (a,), vjp)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Untracked elementwise 1 / (1 + exp(-x)); never overflows exp."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cts.experiment as experiment
 from cts.cli import main as cli_main
 from cts.data import (DataError, load_dataset, load_idx, make_blobs)
 from cts.experiment import (ExperimentConfig, MetricsRecord, load_config,
@@ -204,6 +205,58 @@ class TestExperiment:
         assert json.loads(tickets[0].read_text())["indices"] == \
                json.loads(good)["indices"]
 
+    def _count_cells(self, monkeypatch):
+        ran = []
+        real = experiment.run_cell
+
+        def counting(cfg, sparsity, rep, variant=""):
+            ran.append((sparsity, rep, variant))
+            return real(cfg, sparsity, rep, variant)
+
+        monkeypatch.setattr(experiment, "run_cell", counting)
+        return ran
+
+    def test_truncated_cell_record_reruns_that_cell(self, tmp_path, monkeypatch):
+        cfg = _exp_cfg(tmp_path, repeats=2)
+        run_experiment(cfg)
+        first = (tmp_path / "metrics.csv").read_bytes()
+        cell = tmp_path / "cells" / "cts_s0.5_r1.json"
+        cell.write_bytes(cell.read_bytes()[:20])  # an interrupted write
+        ran = self._count_cells(monkeypatch)
+        _, failures = run_experiment(cfg)
+        assert not failures
+        assert ran == [(0.5, 1, "")]
+        assert (tmp_path / "metrics.csv").read_bytes() == first
+        assert not list((tmp_path / "cells").glob("*.tmp"))
+
+    def test_changed_config_recomputes_cells(self, tmp_path, monkeypatch):
+        run_experiment(_exp_cfg(tmp_path / "a"))
+        reseeded = _exp_cfg(tmp_path / "a")
+        reseeded.seed = 5
+        run_experiment(reseeded)
+        fresh = _exp_cfg(tmp_path / "b")
+        fresh.seed = 5
+        run_experiment(fresh)
+        for name in ("metrics.csv", "layers.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # the same config again reuses every cell
+        ran = self._count_cells(monkeypatch)
+        run_experiment(reseeded)
+        assert ran == []
+        assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
+
+    def test_failed_rerun_drops_stale_record(self, tmp_path, monkeypatch):
+        run_experiment(_exp_cfg(tmp_path))
+
+        def boom(*args):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(experiment, "run_cell", boom)
+        cfg = _exp_cfg(tmp_path)
+        cfg.seed = 5
+        records, failures = run_experiment(cfg)
+        assert failures and records == []
+
     def test_failures_recorded_not_fatal(self, tmp_path):
         cfg = _exp_cfg(tmp_path)
         cfg.sparsities = (0.999,)  # round(kappa * d) == 0: empty ticket
@@ -280,3 +333,14 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert cli_main(["search", "--objective", "entropy"]) == 2
         assert cli_main(["frobnicate"]) == 2
+        assert cli_main(["search", "--precision", "float32"]) == 2
+
+    def test_bad_config_value_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
+                       "[search]\nobjective = entropy\n")
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+        assert not (out / "cells").exists()
+        err = capsys.readouterr().err.strip()
+        assert "entropy" in err and len(err.splitlines()) == 1

@@ -9,7 +9,7 @@ import cts.tensor as T
 from cts.mask import (KAPPA_CLAMP, TAU_DEFAULT, MaskDistribution, MaskError,
                       Ticket, clamp_topk, expected_density, init_distribution,
                       invert_clamp, load_ticket, sample_logistic,
-                      sample_soft_mask, save_ticket, soft_mask_tensor,
+                      sample_soft_mask, save_ticket, soft_mask,
                       sparsity_loss, sparsity_loss_grad, step_rng)
 
 
@@ -71,14 +71,34 @@ class TestSampling:
         # lower temperature pushes samples toward {0, 1}
         assert np.abs(lo - 0.5).mean() > np.abs(hi - 0.5).mean()
 
-    def test_soft_mask_tensor_matches_numpy(self):
+    def test_soft_mask_matches_closed_form(self):
         dist = init_distribution(50, 0.4)
         eps = sample_logistic(step_rng(0, 0), 50)
-        logits = T.Tensor(dist.logits, requires_grad=True)
-        sm = soft_mask_tensor(logits, eps, dist.tau)
+        sm = soft_mask(dist.logits, eps, dist.tau)
         expected = 1 / (1 + np.exp(-(dist.logits + eps) / dist.tau))
-        np.testing.assert_allclose(sm.data, expected, rtol=1e-12)
-        assert sm.requires_grad
+        np.testing.assert_allclose(sm, expected, rtol=1e-12)
+        np.testing.assert_array_equal(sample_soft_mask(dist, step_rng(0, 0)).values, sm)
+
+    def test_soft_mask_saturates_without_overflow(self):
+        logits = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        with np.errstate(over="raise"):
+            sm = soft_mask(logits, np.zeros(5), 0.05)
+        np.testing.assert_array_equal(sm, [0.0, 0.0, 0.5, 1.0, 1.0])
+
+
+class TestAlpha:
+    def test_alpha_recomputed_when_logits_replaced(self):
+        dist = MaskDistribution(np.zeros(8), TAU_DEFAULT)
+        first = dist.alpha
+        assert dist.alpha is first
+        dist.logits = np.full(8, 2.0)
+        np.testing.assert_allclose(dist.alpha, 1 / (1 + np.exp(-2.0)), rtol=1e-15)
+        assert expected_density(dist) == pytest.approx(1 / (1 + np.exp(-2.0)))
+
+    def test_alpha_is_read_only(self):
+        dist = init_distribution(8, 0.3)
+        with pytest.raises(ValueError):
+            dist.alpha[0] = 1.0
 
 
 class TestSparsityLoss:

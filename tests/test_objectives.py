@@ -174,3 +174,46 @@ class TestAlphaGradients:
     def test_unknown_tag(self):
         with pytest.raises(ObjectiveError):
             obj.get_kind("entropy")
+
+
+def _tracked_chain(tag, model, x, y, logits, eps, tau):
+    """Reference: the logits as leaf, with the soft mask built by tracked ops."""
+    leaf = Tensor(logits, requires_grad=True)
+    s = T.sigmoid(T.mul(T.add(leaf, Tensor(eps)), 1.0 / tau))
+    value = obj.evaluate(tag, model, x, y, overlay=s)
+    (g,) = T.grad(value, [leaf])
+    return value.item(), g.data
+
+
+class TestAnalyticMaskChain:
+    """The soft-mask leaf with the closed-form chain equals the tracked chain."""
+
+    def _check(self, arch, shape, tag):
+        model = build_model(arch, 0, shape, 3)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((8,) + shape)
+        y = rng.integers(0, 3, 8)
+        logits = np.log(0.3 / 0.7) + rng.standard_normal(model.d)
+        eps = sample_logistic(step_rng(2, 0), model.d)
+        tau = 2.0 / 3.0
+        value, g = value_and_alpha_grad(tag, model, x, y, logits, eps, tau)
+        ref_value, ref_g = _tracked_chain(tag, model, x, y, logits, eps, tau)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-14)
+        np.testing.assert_allclose(g, ref_g, rtol=1e-10, atol=1e-14 * np.abs(ref_g).max())
+        # directional derivative against central differences of the value
+        u = rng.standard_normal(model.d)
+        u /= np.linalg.norm(u)
+        h = 1e-5
+        vp, _ = value_and_alpha_grad(tag, model, x, y, logits + h * u, eps, tau)
+        vm, _ = value_and_alpha_grad(tag, model, x, y, logits - h * u, eps, tau)
+        fd = (vp - vm) / (2 * h)
+        assert float(g @ u) == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("tag", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("arch,shape", [("tiny-mlp", (4,)), ("mlp-2x256", (20,))])
+    def test_dense(self, arch, shape, tag):
+        self._check(arch, shape, tag)
+
+    @pytest.mark.parametrize("tag", ["loss", "dloss", "kl", "feature"])
+    def test_conv(self, tag):
+        self._check("lenet-conv4", (1, 8, 8), tag)

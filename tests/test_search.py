@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cts.tensor as T
 from cts.data import make_blobs
 from cts.models import TrainConfig, build_model, evaluate
 from cts.search import SearchConfig, SearchError, run_cts, search_phase
@@ -55,6 +56,26 @@ class TestSearchPhase:
         assert len(metrics.steps) == 25
         assert len(metrics.expected_density) == 25
         assert dist.d == model.d
+
+    @pytest.mark.parametrize("controller,multi_sample,per_step", [
+        ("gradbalance", 1, 2), ("lagrange", 1, 2), ("gradbalance", 2, 3)])
+    def test_sigmoid_calls_per_step(self, monkeypatch, controller, multi_sample, per_step):
+        # one sigmoid over d entries per soft-mask sample, one per logits update
+        data = _data()
+        model = build_model("tiny-mlp", 0, data.input_shape, data.num_classes)
+        calls = []
+        real = T.stable_sigmoid
+
+        def counting(x):
+            calls.append(x.size)
+            return real(x)
+
+        monkeypatch.setattr(T, "stable_sigmoid", counting)
+        steps = 3
+        search_phase(model, _cfg(steps=steps, controller=controller,
+                                 multi_sample=multi_sample), data)
+        # plus one for the expected density before the first step
+        assert calls.count(model.d) == 1 + per_step * steps
 
     def test_deterministic(self):
         data = _data()
