@@ -7,9 +7,9 @@ from .baselines import (LtrConfig, SaliencyScores, grasp_scores,
 from .controllers import AdamState, ControllerState, gradbalance_step, lagrange_step
 from .data import Dataset, load_dataset, make_blobs
 from .experiment import ExperimentConfig, MetricsRecord, load_config, report, run_experiment
-from .mask import (MaskDistribution, SoftMask, Ticket, clamp_topk,
-                   expected_density, init_distribution, invert_clamp,
-                   load_ticket, sample_soft_mask, save_ticket, sparsity_loss)
+from .mask import (MaskDistribution, Ticket, clamp_topk, expected_density,
+                   init_distribution, invert_clamp, load_ticket, save_ticket,
+                   sparsity_loss)
 from .models import ModelState, TrainConfig, build_model, evaluate, forward, train
 from .objectives import OBJECTIVES, evaluate as evaluate_objective, hard_value
 from .oracle import brute_force_oracle
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "ControllerState", "Dataset", "ExperimentConfig", "LtrConfig",
     "MaskDistribution", "MetricsRecord", "ModelState", "OBJECTIVES",
-    "SaliencyScores", "SearchConfig", "SearchMetrics", "SoftMask", "Tensor",
+    "SaliencyScores", "SearchConfig", "SearchMetrics", "Tensor",
     "Ticket", "TrainConfig", "backward", "brute_force_oracle", "build_model",
     "clamp_topk", "evaluate", "evaluate_objective", "expected_density",
     "finite_diff_grad", "forward", "grad", "gradbalance_step", "grasp_scores",
@@ -29,6 +29,6 @@ __all__ = [
     "load_config", "load_dataset", "load_ticket", "magnitude_prune",
     "make_blobs", "no_grad", "noisy_overlay_scores", "prune_by_scores",
     "random_prune", "report", "run_cts", "run_experiment", "run_ltr",
-    "sample_soft_mask", "sanity_ablate", "save_ticket", "search_phase",
+    "sanity_ablate", "save_ticket", "search_phase",
     "snip_scores", "sparsity_loss", "synflow_prune", "train",
 ]

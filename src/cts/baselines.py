@@ -67,24 +67,16 @@ def snip_scores(model: ModelState, batch) -> SaliencyScores:
     return SaliencyScores(np.abs(g * theta), "snip", "largest")
 
 
-def grasp_scores(model: ModelState, batch, h_scale: float = 1e-4) -> SaliencyScores:
-    """-(H g) * theta with Hg from a central finite difference of gradients."""
+def grasp_scores(model: ModelState, batch) -> SaliencyScores:
+    """-(H g) * theta, with the Hessian-vector product Hg by double-backward."""
     x, y = batch
-    theta = model.maskable_vector()
-    g = _loss_grads(model, x, y)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm < 1e-12:
-        raise BaselineError("zero gradient; GraSP scores undefined")
-    h = h_scale * max(float(np.linalg.norm(theta)), 1.0) / gnorm
-    gp = _grads_at(model, x, y, theta + h * g)
-    gm = _grads_at(model, x, y, theta - h * g)
-    hg = (gp - gm) / (2 * h)
-    return SaliencyScores(-(hg * theta), "grasp", "largest")
-
-
-def _grads_at(model: ModelState, x, y, theta_vec: np.ndarray) -> np.ndarray:
-    layers = obj._maskable_grads(model, x, y, theta_vec)
-    return np.concatenate([g.reshape(-1) for g in layers])
+    names = [n for n, _, _ in model.maskable_index]
+    leaves = {k: Tensor(v, requires_grad=(k in names)) for k, v in model.params.items()}
+    wrt = [leaves[n] for n in names]
+    grads = T.grad(forward(model, x, y, param_tensors=leaves).loss, wrt, create_graph=True)
+    g_dot_g = sum(T.sum_(T.mul(g, g.detach())) for g in grads)
+    hg = np.concatenate([h.data.reshape(-1) for h in T.grad(g_dot_g, wrt)])
+    return SaliencyScores(-(hg * model.maskable_vector()), "grasp", "largest")
 
 
 def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.ndarray:

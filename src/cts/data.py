@@ -1,8 +1,7 @@
 """Dataset ingestion: synthetic Gaussian blobs and IDX image files.
 
 Batches are drawn from counter-based seeds, so batch t of a run is a pure
-function of (seed, t). Augmentation (horizontal flip, +-2px shift) applies
-only to image-shaped data and only when requested.
+function of (seed, t).
 """
 
 from __future__ import annotations
@@ -30,34 +29,18 @@ class Dataset:
     input_shape: tuple
     num_classes: int
 
-    def batch(self, step: int, batch_size: int, seed: int, split: str = "train",
-              augment: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def batch(self, step: int, batch_size: int, seed: int,
+              split: str = "train") -> tuple[np.ndarray, np.ndarray]:
         x, y = (self.x_train, self.y_train) if split == "train" else (self.x_test, self.y_test)
         rng = np.random.default_rng(np.random.SeedSequence([23, seed, step]))
         idx = rng.choice(len(x), size=min(batch_size, len(x)), replace=False)
-        xb, yb = x[idx], y[idx]
-        if augment and xb.ndim == 4:
-            xb = _augment(xb, rng)
-        return xb, yb
+        return x[idx], y[idx]
 
     def eval_batch(self, n: int = 256, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """A fixed evaluation batch (deterministic given seed)."""
         rng = np.random.default_rng(np.random.SeedSequence([29, seed]))
         idx = rng.choice(len(self.x_train), size=min(n, len(self.x_train)), replace=False)
         return self.x_train[idx], self.y_train[idx]
-
-
-def _augment(x: np.ndarray, rng: np.random.Generator, max_shift: int = 2) -> np.ndarray:
-    out = x.copy()
-    n = len(x)
-    flips = rng.random(n) < 0.5
-    out[flips] = out[flips, :, :, ::-1]
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-    for i in range(n):
-        dy, dx = int(shifts[i, 0]), int(shifts[i, 1])
-        if dy or dx:
-            out[i] = np.roll(np.roll(out[i], dy, axis=1), dx, axis=2)
-    return out
 
 
 def make_blobs(classes: int = 4, dim: int = 20, n: int = 4000, seed: int = 0,

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -260,17 +260,20 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], dict[str
             if err:
                 failures[cell] = err
 
-    records = _collect_records(out)
+    records = _collect_records(out, [_cell_id(cfg.method, s, r, v) for _, s, r, v, _ in jobs])
     _write_csvs(out, records)
     if failures:
         (out / "failures.json").write_text(json.dumps(failures, sort_keys=True, indent=1) + "\n")
     return records, failures
 
 
-def _collect_records(out: Path) -> list[MetricsRecord]:
+def _collect_records(out: Path, cells: list[str]) -> list[MetricsRecord]:
+    """Records of this grid's cells; failed cells have none, and cells left in
+    ``out`` by another grid are not reported."""
     records = []
-    for path in sorted((out / "cells").glob("*.json")):
-        if path.name.endswith(".ticket.json"):
+    for cell in cells:
+        path = out / "cells" / f"{cell}.json"
+        if not path.exists():
             continue
         doc = json.loads(path.read_text())
         doc.pop("ticket_sha256", None)
@@ -321,56 +324,61 @@ def report(csv_paths: list) -> list[tuple[str, float, float, float, int]]:
 
 # -- config files ---------------------------------------------------------------
 
+def _floats(value: str) -> tuple:
+    return tuple(float(v) for v in value.split(","))
+
+
+def _boolean(value: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if value.lower() not in states:
+        raise ValueError(f"not a boolean: {value!r}")
+    return states[value.lower()]
+
+
+def _lr_drops(value: str) -> tuple:
+    drops = []
+    for item in value.split(";"):
+        if item.strip():
+            step, factor = item.split(":")
+            drops.append((int(step), float(factor)))
+    return tuple(drops)
+
+
+# section -> (config part, {key: parser}); part None is ExperimentConfig itself
+_CONFIG_KEYS = {
+    "task": (None, {"dataset": str, "arch": str}),
+    "sweep": (None, {"method": str, "sparsities": _floats, "repeats": int, "seed": int,
+                     "out": str, "workers": int, "sanity": _boolean}),
+    "search": ("search", {"objective": str, "controller": str, "steps": int, "eta": float,
+                          "lambda_lr": float, "tau": float, "alpha_lr": float,
+                          "batch_size": int, "quick_factor": float}),
+    "train": ("train", {"steps": int, "batch_size": int, "lr": float, "momentum": float,
+                        "weight_decay": float, "rewind_step": int, "lr_drops": _lr_drops}),
+    "ltr": (None, {"prune_fraction": float}),
+}
+# keys whose ExperimentConfig field has another name
+_CONFIG_FIELDS = {"out": "out_dir", "prune_fraction": "ltr_prune_fraction"}
+
+
 def load_config(path) -> ExperimentConfig:
-    """key = value sections: [task], [sweep], [search], [train], [ltr]."""
+    """key = value sections: [task], [sweep], [search], [train], [ltr].
+
+    An unknown section or key is an error, so a misspelt option cannot
+    silently leave its default in place.
+    """
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise ExperimentError(f"cannot read config file {path}")
-    cfg = ExperimentConfig()
-    if cp.has_section("task"):
-        cfg.dataset = cp.get("task", "dataset", fallback=cfg.dataset)
-        cfg.arch = cp.get("task", "arch", fallback=cfg.arch)
-    if cp.has_section("sweep"):
-        s = cp["sweep"]
-        cfg.method = s.get("method", cfg.method)
-        if "sparsities" in s:
-            cfg.sparsities = tuple(float(v) for v in s["sparsities"].split(","))
-        cfg.repeats = s.getint("repeats", cfg.repeats)
-        cfg.seed = s.getint("seed", cfg.seed)
-        cfg.out_dir = s.get("out", cfg.out_dir)
-        cfg.workers = s.getint("workers", cfg.workers)
-        cfg.sanity = s.getboolean("sanity", cfg.sanity)
-    if cp.has_section("search"):
-        s = cp["search"]
-        sc = cfg.search
-        sc.objective = s.get("objective", sc.objective)
-        sc.controller = s.get("controller", sc.controller)
-        sc.steps = s.getint("steps", sc.steps)
-        sc.eta = s.getfloat("eta", sc.eta)
-        sc.lambda_lr = s.getfloat("lambda_lr", sc.lambda_lr)
-        sc.tau = s.getfloat("tau", sc.tau)
-        sc.alpha_lr = s.getfloat("alpha_lr", sc.alpha_lr)
-        sc.batch_size = s.getint("batch_size", sc.batch_size)
-        sc.quick_factor = s.getfloat("quick_factor", sc.quick_factor)
-    if cp.has_section("train"):
-        s = cp["train"]
-        tc = cfg.train
-        tc.steps = s.getint("steps", tc.steps)
-        tc.batch_size = s.getint("batch_size", tc.batch_size)
-        tc.lr = s.getfloat("lr", tc.lr)
-        tc.momentum = s.getfloat("momentum", tc.momentum)
-        tc.weight_decay = s.getfloat("weight_decay", tc.weight_decay)
-        tc.rewind_step = s.getint("rewind_step", tc.rewind_step)
-        if "lr_drops" in s:
-            drops = []
-            for item in s["lr_drops"].split(";"):
-                if item.strip():
-                    step, factor = item.split(":")
-                    drops.append((int(step), float(factor)))
-            tc.lr_drops = tuple(drops)
-    if cp.has_section("ltr"):
-        cfg.ltr_prune_fraction = cp.getfloat("ltr", "prune_fraction",
-                                             fallback=cfg.ltr_prune_fraction)
-    # rebuilt so that every config class checks the values read into it
-    return replace(cfg, search=replace(cfg.search), train=replace(cfg.train))
+    parts: dict = {None: {}, "search": {}, "train": {}}
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ExperimentError(f"unknown section [{section}] in {path}")
+        part, keys = _CONFIG_KEYS[section]
+        for key, value in cp[section].items():
+            if key not in keys:
+                raise ExperimentError(f"unknown key '{key}' in [{section}] of {path}")
+            parts[part][_CONFIG_FIELDS.get(key, key)] = keys[key](value)
+    # built with the constructors, so that every config class checks its values
+    return ExperimentConfig(**parts[None], search=SearchConfig(**parts["search"]),
+                            train=TrainConfig(**parts["train"]))

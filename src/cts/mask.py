@@ -51,12 +51,6 @@ class MaskDistribution:
 
 
 @dataclass
-class SoftMask:
-    values: np.ndarray
-    noise_seed: tuple | None = None
-
-
-@dataclass
 class Ticket:
     mask: np.ndarray  # binary {0,1}, length d
     layout: list[tuple[str, int]] = field(default_factory=list)
@@ -113,12 +107,6 @@ def step_rng(run_seed: int, step: int, stream: int = 0) -> np.random.Generator:
 def soft_mask(logits: np.ndarray, eps: np.ndarray, tau: float) -> np.ndarray:
     """Concrete relaxation sigmoid((logits + eps) / tau) for fixed noise eps."""
     return T.stable_sigmoid((logits + eps) * (1.0 / tau))
-
-
-def sample_soft_mask(dist: MaskDistribution, rng: np.random.Generator,
-                     noise_seed=None) -> SoftMask:
-    eps = sample_logistic(rng, dist.d)
-    return SoftMask(values=soft_mask(dist.logits, eps, dist.tau), noise_seed=noise_seed)
 
 
 def expected_density(dist: MaskDistribution) -> float:

@@ -349,8 +349,7 @@ def _decayable(name: str) -> bool:
 
 
 def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = None,
-          start_step: int = 0, stop_step: int | None = None,
-          augment: bool = False) -> ModelState:
+          start_step: int = 0, stop_step: int | None = None) -> ModelState:
     """SGD with momentum and weight decay; masked entries stay exactly zero.
 
     The learning-rate schedule is indexed by global step, so a retrain that
@@ -374,7 +373,7 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
 
     bad_steps = 0
     for step in range(start_step, stop):
-        xb, yb = data.batch(step, cfg.batch_size, cfg.seed, split="train", augment=augment)
+        xb, yb = data.batch(step, cfg.batch_size, cfg.seed, split="train")
         try:
             leaves = {n: Tensor(out.params[n], requires_grad=True) for n in names}
             trace = forward(out, xb, yb, param_tensors=leaves)

@@ -2,10 +2,10 @@
 
 Tags: loss, dloss, gradnorm, kl, feature, grad. The teacher pass is always
 evaluated outside the gradient graph. The two gradient-based objectives
-(gradnorm, grad) differentiate a gradient: on pure dense models this uses
-double-backward; on conv models it falls back to a finite-difference
-Hessian-vector product. Either way the graph is differentiated w.r.t. the
-soft mask, and the chain to the mask logits is applied analytically.
+(gradnorm, grad) are functions of the student's loss gradient; that gradient
+is built in-graph, so the search differentiates it again (double-backward)
+on every architecture. The graph is differentiated w.r.t. the soft mask, and
+the chain to the mask logits is applied analytically.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import numpy as np
 
 from . import tensor as T
 from .mask import soft_mask
-from .models import Conv, ForwardTrace, ModelState, _flatten_specs, forward
+from .models import ForwardTrace, ModelState, forward
 from .tensor import Tensor
 
 NORM_DELTA = 1e-5
-HVP_H_SCALE = 1e-4
 
 
 class ObjectiveError(Exception):
@@ -114,10 +113,6 @@ def grad_match(student_grads: list[Tensor], teacher_grads: list[np.ndarray]) -> 
     return T.mul(total, 1.0 / len(terms))
 
 
-def has_conv(model: ModelState) -> bool:
-    return any(isinstance(s, Conv) for s in _flatten_specs(model.specs))
-
-
 def _teacher_trace(model: ModelState, x, y, capture: bool) -> ForwardTrace:
     with T.no_grad():
         return forward(model, x, y, capture_features=capture)
@@ -146,9 +141,8 @@ def evaluate(tag: str, model: ModelState, x, y, overlay,
     """Objective value as a (possibly tracked) scalar Tensor.
 
     ``overlay`` is a hard mask vector, a tracked soft-mask Tensor, or None.
-    For gradnorm/grad with a tracked overlay, the student gradient nodes are
-    produced by an in-graph backward (dense architectures only); use
-    value_and_alpha_grad for the conv fallback.
+    gradnorm and grad build the student gradient nodes by an in-graph
+    backward, so they need a tracked overlay; use hard_value for hard masks.
     """
     kind = get_kind(tag)
     capture = tag == "feature"
@@ -165,17 +159,14 @@ def evaluate(tag: str, model: ModelState, x, y, overlay,
             return reverse_kl(student, teacher)
         return feature_match(student, teacher)
 
-    # gradient-based objectives
-    tracked = isinstance(overlay, Tensor) and overlay.requires_grad
-    if not tracked:
-        vec = np.ones(model.d) if overlay is None else np.asarray(
-            overlay.data if isinstance(overlay, Tensor) else overlay, dtype=np.float64)
-        return Tensor(np.asarray(hard_value(tag, model, x, y, vec)))
+    if not (isinstance(overlay, Tensor) and overlay.requires_grad):
+        raise ObjectiveError(f"'{tag}' needs a tracked soft-mask overlay; "
+                             "use hard_value for a hard mask")
     effective: dict[str, Tensor] = {}
     student = forward(model, x, y, overlay=overlay, capture_features=False,
                       effective_out=effective)
     eff_list = [effective[name] for name, _, _ in model.maskable_index]
-    grads = T.grad(student.loss, eff_list, create_graph=tracked)
+    grads = T.grad(student.loss, eff_list, create_graph=True)
     if tag == "gradnorm":
         return neg_grad_norm(grads)
     t_grads = teacher_layer_grads(model, x, y)
@@ -189,54 +180,13 @@ def value_and_alpha_grad(tag: str, model: ModelState, x, y,
 
     One soft-mask sample s = sigmoid((logits + eps) / tau) with fixed noise
     eps. The graph starts at s; the chain ds/dlogits = s (1 - s) / tau is
-    applied here in closed form. Conv architectures route the gradient-based
-    objectives through a finite-difference Hessian-vector product instead
-    of double-backward.
+    applied here in closed form.
     """
     s = soft_mask(logits, eps, tau)
-    if get_kind(tag).needs_student_grads and has_conv(model):
-        value, g_s = _value_and_soft_mask_grad_fd(tag, model, x, y, s)
-    else:
-        leaf = Tensor(s, requires_grad=True)
-        r = evaluate(tag, model, x, y, overlay=leaf)
-        (g,) = T.grad(r, [leaf])
-        value, g_s = r.item(), g.data
-    return value, g_s * (s * (1.0 - s)) * (1.0 / tau)
-
-
-def _value_and_soft_mask_grad_fd(tag: str, model: ModelState, x, y,
-                                 s: np.ndarray) -> tuple[float, np.ndarray]:
-    theta = model.maskable_vector()
-    theta_eff = s * theta
-    g_layers = _maskable_grads(model, x, y, theta_eff)
-    g_flat = np.concatenate([g.reshape(-1) for g in g_layers])
-
-    if tag == "gradnorm":
-        norm = float(np.linalg.norm(g_flat))
-        if norm < 1e-12:
-            raise ObjectiveError("zero gradient; gradient-norm objective undefined")
-        value = -norm
-        v = -g_flat / norm
-    else:
-        t_grads = teacher_layer_grads(model, x, y)
-        leaves = [Tensor(g, requires_grad=True) for g in g_layers]
-        r = grad_match(leaves, t_grads)
-        value = r.item()
-        gmap = T.backward(r, wrt=leaves)
-        v = np.concatenate([gmap[id(l)].data.reshape(-1) for l in leaves])
-
-    vnorm = float(np.linalg.norm(v))
-    if vnorm < 1e-12:
-        dR_dtheta = np.zeros_like(theta_eff)
-    else:
-        h = HVP_H_SCALE * max(float(np.linalg.norm(theta_eff)), 1.0) / vnorm
-        gp = _maskable_grads(model, x, y, theta_eff + h * v)
-        gm = _maskable_grads(model, x, y, theta_eff - h * v)
-        gp_flat = np.concatenate([g.reshape(-1) for g in gp])
-        gm_flat = np.concatenate([g.reshape(-1) for g in gm])
-        dR_dtheta = (gp_flat - gm_flat) / (2 * h)
-
-    return value, dR_dtheta * theta
+    leaf = Tensor(s, requires_grad=True)
+    r = evaluate(tag, model, x, y, overlay=leaf)
+    (g,) = T.grad(r, [leaf])
+    return r.item(), g.data * (s * (1.0 - s)) * (1.0 / tau)
 
 
 def hard_value(tag: str, model: ModelState, x, y, mask_vec: np.ndarray) -> float:

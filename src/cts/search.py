@@ -69,9 +69,9 @@ class SearchMetrics:
 def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[mk.MaskDistribution, SearchMetrics]:
     """Optimize the mask distribution over frozen weights.
 
-    Returns the final distribution and the per-step trace. Search batches
-    carry no augmentation. The overshoot counter tracks expected density
-    exceeding 1.1 * kappa_eff after its first downward crossing of kappa_eff.
+    Returns the final distribution and the per-step trace. The overshoot
+    counter tracks expected density exceeding 1.1 * kappa_eff after its first
+    downward crossing of kappa_eff.
     """
     theta_before = model.maskable_vector().copy()
     n_steps = cfg.effective_steps
@@ -84,7 +84,7 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
     crossed_down = False
     was_above = mk.expected_density(dist) > state.kappa_eff
     for step in range(n_steps):
-        xb, yb = data.batch(step, cfg.batch_size, cfg.seed_search, split="train", augment=False)
+        xb, yb = data.batch(step, cfg.batch_size, cfg.seed_search, split="train")
         rng = mk.step_rng(cfg.seed_search, step, stream=1)
         g_acc = None
         r_acc = 0.0
@@ -119,7 +119,7 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
 
 
 def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
-            train_cfg: TrainConfig, augment_train: bool = False) -> tuple[mk.Ticket, ModelState, dict]:
+            train_cfg: TrainConfig) -> tuple[mk.Ticket, ModelState, dict]:
     """Full pipeline (k-step pre-train, search, clamp, masked retrain).
 
     Returns the ticket, the retrained model, and a metrics dict holding the
@@ -128,7 +128,7 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     k = train_cfg.rewind_step
     model0 = build_model(arch, cfg.seed_init, data.input_shape, data.num_classes)
     if k > 0:
-        model_k = train(model0, data, train_cfg, stop_step=k, augment=augment_train)
+        model_k = train(model0, data, train_cfg, stop_step=k)
     else:
         model_k = model0.copy()
 
@@ -139,8 +139,7 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     objective_at_draw = obj.hard_value(cfg.objective, model_k, eval_x, eval_y,
                                        ticket.mask.astype(np.float64))
 
-    final = train(model_k, data, train_cfg, mask=ticket.mask,
-                  start_step=k, augment=augment_train)
+    final = train(model_k, data, train_cfg, mask=ticket.mask, start_step=k)
     info = {
         "search": metrics,
         "distribution": dist,

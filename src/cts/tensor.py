@@ -3,10 +3,11 @@
 Covers exactly the op set the small models and pruning objectives need:
 elementwise arithmetic with broadcasting, matmul, 2-D convolution, relu,
 sigmoid, exp/log, log-softmax, reductions, slicing/concat and the L2 norm.
-Backward rules for everything except convolution are themselves composed of
-these primitives, so gradients can be differentiated again (needed when an
-objective is a function of a gradient). Convolution's backward is plain
-numpy; requesting a second derivative through it raises.
+Every backward rule is itself composed of these primitives, so gradients can
+be differentiated again (needed when an objective is a function of a
+gradient, and for Hessian-vector products). Convolution's two adjoints,
+``conv2d_input_grad`` and ``conv2d_weight_grad``, are tracked primitives
+whose own vjps are convolutions and each other.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class GraphError(TensorError):
     pass
 
 
-class SecondOrderUnsupportedError(GraphError):
-    pass
-
-
 @contextlib.contextmanager
 def no_grad():
     global _grad_enabled
@@ -71,14 +68,13 @@ class Tensor:
     """An immutable value in a computation graph.
 
     ``_vjp(out_grad)`` returns one gradient Tensor per parent (None for
-    parents that do not require grad). ``_second_order`` marks whether that
-    vjp is itself built from tracked primitives.
+    parents that do not require grad), built from tracked primitives.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op", "_second_order")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _vjp=None,
-                 _op: str = "leaf", _second_order: bool = True):
+                 _op: str = "leaf"):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
@@ -89,7 +85,6 @@ class Tensor:
         self._parents = _parents
         self._vjp = _vjp
         self._op = _op
-        self._second_order = _second_order
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -168,15 +163,13 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable,
-          second_order: bool = True) -> Tensor:
+def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     if _finite_checks and not np.all(np.isfinite(data)):
         raise NonFiniteError(op)
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     if not requires:
         return Tensor(data, _op=op)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp,
-                  _op=op, _second_order=second_order)
+    return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp, _op=op)
 
 
 def _unbroadcast(grad: Tensor, shape: tuple) -> Tensor:
@@ -455,11 +448,7 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), NCHW input, OIHW filters.
-
-    Backward is plain numpy, so differentiating *through* this backward
-    (second order) is unsupported and raises during tracked re-backward.
-    """
+    """2-D convolution (cross-correlation), NCHW input, OIHW filters."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
@@ -469,13 +458,44 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     out = (cols @ w.data.reshape(co, -1).T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
     def vjp(g):
-        g2 = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
-        gw = (g2.T @ cols).reshape(w.shape)
-        gcols = g2 @ w.data.reshape(co, -1)
-        gx = _col2im(gcols, x.shape, kh, kw, stride, padding)
-        return Tensor(gx), Tensor(gw)
+        return (conv2d_input_grad(g, w, x.shape, stride, padding),
+                conv2d_weight_grad(x, g, w.shape, stride, padding, cols=cols))
 
-    return _make(np.ascontiguousarray(out), "conv2d", (x, w), vjp, second_order=False)
+    return _make(np.ascontiguousarray(out), "conv2d", (x, w), vjp)
+
+
+def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tensor:
+    """Adjoint of conv2d in its input: col2im(g W), of shape ``x_shape``."""
+    g, w = _as_tensor(g), _as_tensor(w)
+    co, ci, kh, kw = w.shape
+    g2 = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
+    out = _col2im(g2 @ w.data.reshape(co, -1), x_shape, kh, kw, stride, padding)
+
+    def vjp(u):
+        return (conv2d(u, w, stride=stride, padding=padding),
+                conv2d_weight_grad(u, g, w.shape, stride, padding))
+
+    return _make(out, "conv2d_input_grad", (g, w), vjp)
+
+
+def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
+                       cols: np.ndarray | None = None) -> Tensor:
+    """Adjoint of conv2d in its filters: g^T im2col(x), of shape ``w_shape``.
+
+    ``cols`` is im2col(x) when the caller already has it.
+    """
+    x, g = _as_tensor(x), _as_tensor(g)
+    co, ci, kh, kw = w_shape
+    if cols is None:
+        cols, _, _ = _im2col(x.data, kh, kw, stride, padding)
+    g2 = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
+    out = (g2.T @ cols).reshape(w_shape)
+
+    def vjp(v):
+        return (conv2d_input_grad(g, v, x.shape, stride, padding),
+                conv2d(x, v, stride=stride, padding=padding))
+
+    return _make(out, "conv2d_weight_grad", (x, g), vjp)
 
 
 def avg_pool2d(x, k: int) -> Tensor:
@@ -530,9 +550,6 @@ def backward(root: Tensor, wrt: Sequence[Tensor] | None = None,
             g = grads.get(id(node))
             if g is None or node._vjp is None:
                 continue
-            if create_graph and not node._second_order:
-                raise SecondOrderUnsupportedError(
-                    f"op '{node._op}' does not support double-backward")
             parent_grads = node._vjp(g)
             for p, pg in zip(node._parents, parent_grads):
                 if pg is None or not p.requires_grad:

@@ -18,7 +18,7 @@ from cts.baselines import (LtrConfig, prune_by_scores, run_ltr, sanity_ablate,
 from cts.controllers import ControllerState, gradbalance_step
 from cts.data import make_blobs
 from cts.experiment import ExperimentConfig, run_experiment
-from cts.mask import (init_distribution, sample_logistic, sample_soft_mask,
+from cts.mask import (init_distribution, sample_logistic, soft_mask,
                       sparsity_loss_grad, step_rng)
 from cts.models import TrainConfig, build_model, evaluate, forward, train
 from cts.oracle import brute_force_oracle
@@ -109,8 +109,8 @@ def test_criterion_2_concrete_fidelity():
         details.append(f"alpha={alpha}: {p:.4f}")
         ok &= abs(p - alpha) <= 0.01
     dist = init_distribution(n, 0.5, tau=2.0 / 3.0)
-    sm = sample_soft_mask(dist, step_rng(11, 1))
-    interior = float(((sm.values > 0) & (sm.values < 1)).mean())
+    sm = soft_mask(dist.logits, sample_logistic(step_rng(11, 1), n), dist.tau)
+    interior = float(((sm > 0) & (sm < 1)).mean())
     ok &= interior >= 0.99
     _report(2, "concrete distribution fidelity", ok,
             "; ".join(details) + f"; interior fraction {interior:.4f}")

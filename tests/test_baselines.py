@@ -10,6 +10,7 @@ from cts.baselines import (NOISY_OVERLAY_SIGMA, BaselineError, LtrConfig,
                            run_ltr, sanity_ablate, snip_scores, synflow_prune)
 from cts.data import make_blobs
 from cts.models import TrainConfig, build_model, forward, train
+from cts.objectives import teacher_layer_grads
 
 
 def _data():
@@ -80,6 +81,26 @@ class TestGrasp:
             hess[:, i] = (_fd_loss_grads(mp, x, y) - _fd_loss_grads(mm, x, y)) / (2 * h)
         expected = -(hess @ g) * theta
         np.testing.assert_allclose(scores.scores, expected, rtol=5e-3, atol=1e-7)
+
+    def test_conv_matches_gradient_differences(self):
+        # Hg against central differences of the loss gradient along g
+        model = build_model("lenet-conv4", 0, (1, 8, 8), 4)
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((16, 1, 8, 8)), rng.integers(0, 4, 16)
+        theta = model.maskable_vector()
+
+        def loss_grad(v):
+            m = model.copy()
+            m.set_maskable_vector(v)
+            return np.concatenate([g.reshape(-1) for g in teacher_layer_grads(m, x, y)])
+
+        g = loss_grad(theta)
+        u = g / np.linalg.norm(g)
+        h = 1e-6
+        hg = np.linalg.norm(g) * (loss_grad(theta + h * u) - loss_grad(theta - h * u)) / (2 * h)
+        scores = grasp_scores(model, (x, y)).scores
+        np.testing.assert_allclose(scores, -(hg * theta), rtol=1e-4,
+                                   atol=1e-6 * np.abs(scores).max())
 
     def test_negative_selection_prefers_low_curvature(self):
         assert grasp_scores(_model(), _batch()).selection == "largest"

@@ -279,20 +279,47 @@ class TestExperiment:
         assert method == "cts" and n == 2
         assert 0 <= mean <= 1 and std >= 0
 
+    def test_csvs_hold_only_current_grid(self, tmp_path):
+        wide = _exp_cfg(tmp_path)
+        wide.sparsities = (0.5, 0.75)
+        run_experiment(wide)
+        records, _ = run_experiment(_exp_cfg(tmp_path))
+        assert [r.sparsity for r in records] == [0.5]
+        for name in ("metrics.csv", "layers.csv", "timings.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[2:]
+            assert rows and all(row.split(",")[1] == "0.5" for row in rows), name
+
     def test_config_file_roundtrip(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(
             "[task]\ndataset = blobs:classes=2,dim=4,n=400,seed=3\n"
-            "arch = tiny-mlp\nmethod = cts\n"
-            "[sweep]\nsparsities = 0.5, 0.75\nrepeats = 2\nseed = 4\n"
-            f"out_dir = {tmp_path / 'out'}\n"
+            "arch = tiny-mlp\n"
+            "[sweep]\nmethod = snip\nsparsities = 0.5, 0.75\nrepeats = 2\nseed = 4\n"
+            f"out = {tmp_path / 'out'}\n"
             "[search]\nsteps = 30\nobjective = loss\n"
             "[train]\nsteps = 60\nrewind_step = 10\n")
         cfg = load_config(ini)
+        assert cfg.method == "snip"
+        assert cfg.out_dir == str(tmp_path / "out")
         assert cfg.sparsities == (0.5, 0.75)
         assert cfg.repeats == 2
         assert cfg.search.objective == "loss"
         assert cfg.train.rewind_step == 10
+
+    def test_config_unknown_key_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
+                       "[sweep]\nsparsitys = 0.3\n")
+        with pytest.raises(experiment.ExperimentError, match="sparsitys"):
+            load_config(ini)
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+        assert not (out / "cells").exists()
+        err = capsys.readouterr().err.strip()
+        assert "sparsitys" in err and len(err.splitlines()) == 1
+        ini.write_text("[serach]\nsteps = 5\n")
+        with pytest.raises(experiment.ExperimentError, match="serach"):
+            load_config(ini)
 
 
 class TestCli:

@@ -134,11 +134,16 @@ class TestIdentityOverlayValues:
         v = hard_value("gradnorm", self.model, self.x, self.y, np.ones(self.model.d))
         assert v < 0
 
+    @pytest.mark.parametrize("tag", ["gradnorm", "grad"])
+    def test_hard_mask_goes_through_hard_value(self, tag):
+        with pytest.raises(ObjectiveError, match="hard_value"):
+            obj.evaluate(tag, self.model, self.x, self.y, overlay=np.ones(self.model.d))
+
 
 class TestAlphaGradients:
     """value_and_alpha_grad agrees with finite differences on the logits."""
 
-    def _check(self, arch, shape, tag, tol=2e-3):
+    def _check(self, arch, shape, tag):
         model = build_model(arch, 0, shape, 2)
         rng = np.random.default_rng(5)
         n = 8
@@ -160,7 +165,7 @@ class TestAlphaGradients:
             vp, _ = value_and_alpha_grad(tag, model, x, y, lp, eps, tau)
             vm, _ = value_and_alpha_grad(tag, model, x, y, lm, eps, tau)
             fd = (vp - vm) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=tol, abs=tol), f"{tag}[{i}]"
+            assert g[i] == pytest.approx(fd, rel=2e-3, abs=2e-3), f"{tag}[{i}]"
 
     @pytest.mark.parametrize("tag", sorted(OBJECTIVES))
     def test_dense_arch(self, tag):
@@ -168,8 +173,8 @@ class TestAlphaGradients:
 
     @pytest.mark.parametrize("tag", ["loss", "kl", "gradnorm", "grad"])
     def test_conv_arch(self, tag):
-        # conv routes gradnorm/grad through the finite-difference fallback
-        self._check("lenet-conv4", (1, 8, 8), tag, tol=5e-3)
+        # gradnorm/grad differentiate through the conv backward (double-backward)
+        self._check("lenet-conv4", (1, 8, 8), tag)
 
     def test_unknown_tag(self):
         with pytest.raises(ObjectiveError):
@@ -214,6 +219,10 @@ class TestAnalyticMaskChain:
     def test_dense(self, arch, shape, tag):
         self._check(arch, shape, tag)
 
-    @pytest.mark.parametrize("tag", ["loss", "dloss", "kl", "feature"])
+    @pytest.mark.parametrize("tag", sorted(OBJECTIVES))
     def test_conv(self, tag):
         self._check("lenet-conv4", (1, 8, 8), tag)
+
+    @pytest.mark.parametrize("tag", ["gradnorm", "grad"])
+    def test_resnet(self, tag):
+        self._check("resnet-tiny", (1, 8, 8), tag)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import cts.tensor as T
-from cts.tensor import (GraphError, NonFiniteError, SecondOrderUnsupportedError,
-                        ShapeError, Tensor, backward, finite_diff_grad, grad,
-                        no_grad)
+from cts.tensor import (GraphError, NonFiniteError, ShapeError, Tensor, backward,
+                        finite_diff_grad, grad, no_grad)
 
 RNG = np.random.default_rng(0)
 
@@ -235,12 +234,28 @@ class TestSecondOrder:
         s = 1 / (1 + np.exp(-x))
         np.testing.assert_allclose(h.data, s * (1 - s) * (1 - 2 * s), rtol=1e-9)
 
-    def test_conv_rejects_create_graph(self):
-        x = Tensor(RNG.standard_normal((1, 1, 4, 4)))
-        w = Tensor(RNG.standard_normal((1, 1, 3, 3)), requires_grad=True)
-        out = T.sum_(T.conv2d(x, w))
-        with pytest.raises(SecondOrderUnsupportedError):
-            grad(out, [w], create_graph=True)
+    def test_conv_double_backward_fd(self):
+        # f = ||dL/dx|| + ||dL/dw|| for L = sum(conv(x, w)^3): its gradient
+        # differentiates the conv backward again, in x and in w
+        x0 = RNG.standard_normal((2, 2, 5, 5))
+        w0 = RNG.standard_normal((3, 2, 3, 3))
+        nx = x0.size
+
+        def f(xt, wt):
+            out = T.conv2d(xt, wt, stride=2, padding=1)
+            gx, gw = grad(T.sum_(T.power(out, 3.0)), [xt, wt], create_graph=True)
+            return T.add(T.l2_norm(gx), T.l2_norm(gw))
+
+        def leaves(v, tracked):
+            return (Tensor(v[:nx].reshape(x0.shape), requires_grad=tracked),
+                    Tensor(v[nx:].reshape(w0.shape), requires_grad=tracked))
+
+        v0 = np.concatenate([x0.ravel(), w0.ravel()])
+        xt, wt = leaves(v0, True)
+        hx, hw = grad(f(xt, wt), [xt, wt])
+        h_fd = finite_diff_grad(lambda v: f(*leaves(v, True)).item(), v0, h=1e-5)
+        np.testing.assert_allclose(np.concatenate([hx.data.ravel(), hw.data.ravel()]),
+                                   h_fd, rtol=1e-6, atol=1e-7)
 
 
 class TestGraphSemantics:
