@@ -214,15 +214,13 @@ def run_ltr(cfg: LtrConfig, arch: str, data: Dataset,
         model_k = train(model0, data, cfg.train, stop_step=k)
     else:
         model_k = model0.copy()
-    theta_k = model_k.maskable_vector().copy()
     d = model_k.d
 
     results = []
     mask = np.ones(d, dtype=np.int64)
     for r in range(1, cfg.rounds + 1):
-        current = model_k.copy()
-        current.set_maskable_vector(theta_k * mask)
-        final = train(current, data, cfg.train, mask=mask.astype(np.float64), start_step=k)
+        # train() starts from a copy of model_k with the pruned weights zeroed
+        final = train(model_k, data, cfg.train, mask=mask.astype(np.float64), start_step=k)
         # prune to round(d * (1-p)^r) survivors by final magnitude, globally
         surviving = int(np.floor(d * (1 - cfg.prune_fraction) ** r + 0.5))
         magnitudes = np.abs(final.maskable_vector())

@@ -19,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -91,10 +92,29 @@ def _cell_seeds(base_seed: int, rep: int) -> int:
     return base_seed * 1000 + rep
 
 
-def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int,
-             variant: str = "") -> tuple[MetricsRecord, mk.Ticket]:
-    """Execute one (method, sparsity, repeat) cell. Pure given the config."""
-    data = load_dataset(cfg.dataset)
+@dataclass
+class CellGroup:
+    """What the cells of one (sparsity, repeat) pair share while their job
+    runs: the dataset, loaded on first use, and the base cell's draw, the
+    ``(ticket, final, info)`` of its ``run_cts``. Sanity ablations start from
+    that draw instead of repeating it."""
+    dataset: str
+    draw: tuple | None = None
+
+    @cached_property
+    def data(self) -> Dataset:
+        return load_dataset(self.dataset)
+
+
+def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = "",
+             group: CellGroup | None = None) -> tuple[MetricsRecord, mk.Ticket]:
+    """Execute one (method, sparsity, repeat) cell. Pure given the config.
+
+    A cts cell draws its ticket with ``run_cts`` unless ``group`` already
+    holds the pair's draw, and leaves its draw there for the next cell.
+    """
+    group = group or CellGroup(cfg.dataset)
+    data = group.data
     kappa = 1.0 - sparsity
     seed = _cell_seeds(cfg.seed, rep)
     tcfg = TrainConfig(**{**asdict(cfg.train), "seed": seed})
@@ -105,13 +125,18 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int,
         scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa,
                                "seed_init": seed, "seed_search": seed + 1,
                                "seed_train": seed + 2})
-        ticket, final, info = run_cts(scfg, cfg.arch, data, tcfg)
-        rewind = info["rewind_model"]
+        if group.draw is None:
+            group.draw = run_cts(scfg, cfg.arch, data, tcfg)
+        ticket, final, info = group.draw
         if variant:
-            ticket, final = _apply_ablation(variant, ticket, info, rewind, data, tcfg, seed)
+            ticket, final = _apply_ablation(variant, ticket, info, data, tcfg, seed)
         acc, _ = evaluate(final, data.x_test, data.y_test)
-        ex, ey = data.eval_batch(seed=seed + 1)
-        value = obj.hard_value(scfg.objective, rewind, ex, ey, ticket.mask.astype(np.float64))
+        # the drawn mask's value on the eval batch of seed + 1 came with the draw
+        value = info["objective_at_draw"]
+        if ticket is not group.draw[0]:  # shuffle and invert score their own mask
+            ex, ey = data.eval_batch(seed=seed + 1)
+            value = obj.hard_value(scfg.objective, info["rewind_model"], ex, ey,
+                                   ticket.mask.astype(np.float64))
     elif method == "ltr":
         p = cfg.ltr_prune_fraction
         rounds = max(1, int(round(math.log(max(kappa, 1e-12)) / math.log(1 - p))))
@@ -134,7 +159,8 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int,
     return record, ticket
 
 
-def _apply_ablation(variant, ticket, info, rewind, data, tcfg, seed):
+def _apply_ablation(variant, ticket, info, data, tcfg, seed):
+    rewind = info["rewind_model"]
     if variant == "shuffle":
         ticket = bl.sanity_ablate(ticket, "shuffle_layerwise", rewind, seed + 7)
         model = rewind
@@ -203,11 +229,18 @@ def _replace_file(path: Path, write) -> None:
     os.replace(tmp, path)
 
 
-def _run_cell_job(args):
-    cfg, sparsity, rep, variant, out_dir = args
+def _run_group_job(args) -> list[tuple[str, str | None]]:
+    """Run or reuse the cells of one (sparsity, repeat) pair, the base cell
+    first; the pair's draw lives as long as this call."""
+    cfg, sparsity, rep, variants, out_dir = args
+    group = CellGroup(cfg.dataset)
+    return [_run_cell_job(cfg, sparsity, rep, v, Path(out_dir), group) for v in variants]
+
+
+def _run_cell_job(cfg, sparsity, rep, variant, out_dir: Path, group: CellGroup):
     cell = _cell_id(cfg.method, sparsity, rep, variant)
-    cell_json = Path(out_dir) / "cells" / f"{cell}.json"
-    ticket_path = Path(out_dir) / "cells" / f"{cell}.ticket.json"
+    cell_json = out_dir / "cells" / f"{cell}.json"
+    ticket_path = out_dir / "cells" / f"{cell}.ticket.json"
     fingerprint = _cell_fingerprint(cfg, sparsity, rep, variant)
     try:  # reuse the cell only if its record parses and matches its ticket and config
         doc = json.loads(cell_json.read_text())
@@ -217,7 +250,7 @@ def _run_cell_job(args):
         pass
     cell_json.unlink(missing_ok=True)  # a failed rerun must not leave a stale record
     try:
-        record, ticket = run_cell(cfg, sparsity, rep, variant)
+        record, ticket = run_cell(cfg, sparsity, rep, variant, group=group)
     except Exception as e:  # cell failures recorded, sweep continues
         return cell, f"{type(e).__name__}: {e}"
     _replace_file(ticket_path, lambda p: mk.save_ticket(
@@ -234,7 +267,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], dict[str
     """Execute the grid and write metrics.csv / layers.csv / timings.csv.
 
     Returns (records, failures). Failed cells are recorded and the rest of
-    the grid continues.
+    the grid continues. One job runs the cells of one (sparsity, repeat)
+    pair, so that sanity ablations share the base cell's draw.
     """
     out = Path(cfg.out_dir)
     (out / "cells").mkdir(parents=True, exist_ok=True)
@@ -246,21 +280,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], dict[str
         if cfg.train.rewind_step == 0:
             variants.append("reinit")
 
-    jobs = [(cfg, s, r, v, str(out))
-            for s in cfg.sparsities for r in range(cfg.repeats) for v in variants]
-    failures: dict[str, str] = {}
+    jobs = [(cfg, s, r, variants, str(out)) for s in cfg.sparsities for r in range(cfg.repeats)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for cell, err in pool.map(_run_cell_job, jobs):
-                if err:
-                    failures[cell] = err
+            results = [c for cells in pool.map(_run_group_job, jobs) for c in cells]
     else:
-        for job in jobs:
-            cell, err = _run_cell_job(job)
-            if err:
-                failures[cell] = err
+        results = [c for job in jobs for c in _run_group_job(job)]
+    failures = {cell: err for cell, err in results if err}
 
-    records = _collect_records(out, [_cell_id(cfg.method, s, r, v) for _, s, r, v, _ in jobs])
+    records = _collect_records(out, [cell for cell, _ in results])
     _write_csvs(out, records)
     if failures:
         (out / "failures.json").write_text(json.dumps(failures, sort_keys=True, indent=1) + "\n")

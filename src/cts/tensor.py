@@ -392,7 +392,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+        return (matmul(g, transpose(b)) if a.requires_grad else None,
+                matmul(transpose(a), g) if b.requires_grad else None)
 
     return _make(out, "matmul", (a, b), vjp)
 
@@ -458,8 +459,9 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     out = (cols @ w.data.reshape(co, -1).T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
     def vjp(g):
-        return (conv2d_input_grad(g, w, x.shape, stride, padding),
-                conv2d_weight_grad(x, g, w.shape, stride, padding, cols=cols))
+        return (conv2d_input_grad(g, w, x.shape, stride, padding) if x.requires_grad else None,
+                conv2d_weight_grad(x, g, w.shape, stride, padding, cols=cols)
+                if w.requires_grad else None)
 
     return _make(np.ascontiguousarray(out), "conv2d", (x, w), vjp)
 
@@ -472,8 +474,8 @@ def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tenso
     out = _col2im(g2 @ w.data.reshape(co, -1), x_shape, kh, kw, stride, padding)
 
     def vjp(u):
-        return (conv2d(u, w, stride=stride, padding=padding),
-                conv2d_weight_grad(u, g, w.shape, stride, padding))
+        return (conv2d(u, w, stride=stride, padding=padding) if g.requires_grad else None,
+                conv2d_weight_grad(u, g, w.shape, stride, padding) if w.requires_grad else None)
 
     return _make(out, "conv2d_input_grad", (g, w), vjp)
 
@@ -492,8 +494,8 @@ def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
     out = (g2.T @ cols).reshape(w_shape)
 
     def vjp(v):
-        return (conv2d_input_grad(g, v, x.shape, stride, padding),
-                conv2d(x, v, stride=stride, padding=padding))
+        return (conv2d_input_grad(g, v, x.shape, stride, padding) if x.requires_grad else None,
+                conv2d(x, v, stride=stride, padding=padding) if g.requires_grad else None)
 
     return _make(out, "conv2d_weight_grad", (x, g), vjp)
 

@@ -12,7 +12,9 @@ from cts.cli import main as cli_main
 from cts.data import (DataError, load_dataset, load_idx, make_blobs)
 from cts.experiment import (ExperimentConfig, MetricsRecord, load_config,
                             report, run_experiment)
+from cts.mask import load_ticket
 from cts.models import TrainConfig, build_model
+from cts.objectives import hard_value
 from cts.oracle import OracleError, brute_force_oracle
 from cts.search import SearchConfig
 
@@ -209,9 +211,9 @@ class TestExperiment:
         ran = []
         real = experiment.run_cell
 
-        def counting(cfg, sparsity, rep, variant=""):
+        def counting(cfg, sparsity, rep, variant="", **kwargs):
             ran.append((sparsity, rep, variant))
-            return real(cfg, sparsity, rep, variant)
+            return real(cfg, sparsity, rep, variant, **kwargs)
 
         monkeypatch.setattr(experiment, "run_cell", counting)
         return ran
@@ -248,7 +250,7 @@ class TestExperiment:
     def test_failed_rerun_drops_stale_record(self, tmp_path, monkeypatch):
         run_experiment(_exp_cfg(tmp_path))
 
-        def boom(*args):
+        def boom(*args, **kwargs):
             raise RuntimeError("cell failed")
 
         monkeypatch.setattr(experiment, "run_cell", boom)
@@ -270,6 +272,98 @@ class TestExperiment:
         assert not failures
         methods = {r.method for r in records}
         assert methods == {"cts", "cts+shuffle", "cts+invert"}
+
+    @staticmethod
+    def _count_draws(monkeypatch, log: Path):
+        """Counts run_cts calls in a file, so that pool workers count too."""
+        real = experiment.run_cts
+
+        def counting(scfg, *args):
+            with open(log, "a") as f:
+                f.write(f"{scfg.seed_init}\n")
+            return real(scfg, *args)
+
+        monkeypatch.setattr(experiment, "run_cts", counting)
+        return lambda: log.read_text().split() if log.exists() else []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rewind_step", [10, 0])
+    def test_sanity_draws_once_per_pair(self, tmp_path, monkeypatch, rewind_step, workers):
+        cfg = _exp_cfg(tmp_path / "out", repeats=2, sanity=True, workers=workers)
+        cfg.train.rewind_step = rewind_step
+        draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
+        records, failures = run_experiment(cfg)
+        assert not failures
+        assert len(records) == 2 * (4 if rewind_step == 0 else 3)
+        assert sorted(draws()) == ["0", "1"]  # one draw per repeat, seeds 0 and 1
+
+    @pytest.mark.parametrize("rewind_step", [10, 0])
+    def test_shared_draw_matches_unshared(self, tmp_path, monkeypatch, rewind_step):
+        real_cts, draws = experiment.run_cts, []
+
+        def keeping(*args):
+            draws.append(real_cts(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(experiment, "run_cts", keeping)
+        shared = _exp_cfg(tmp_path / "shared", sanity=True)
+        shared.train.rewind_step = rewind_step
+        records, _ = run_experiment(shared)
+        # every row is scored on its own mask at the rewind point (cell seed 0,
+        # eval batch seed 1), the base row included
+        (_, _, info), = draws
+        ex, ey = load_dataset(DATASET).eval_batch(seed=1)
+        for r in records:
+            ticket, _ = load_ticket(tmp_path / "shared" / "cells" / f"{r.method}_s0.5_r0.ticket.json")
+            assert r.objective_at_draw == hard_value("kl", info["rewind_model"], ex, ey,
+                                                     ticket.mask.astype(np.float64)), r.method
+        real = experiment.run_cell
+
+        def unshared(cfg, sparsity, rep, variant="", group=None):
+            return real(cfg, sparsity, rep, variant)  # every cell draws its own ticket
+
+        monkeypatch.setattr(experiment, "run_cell", unshared)
+        alone = _exp_cfg(tmp_path / "alone", sanity=True)
+        alone.train.rewind_step = rewind_step
+        run_experiment(alone)
+        for name in ("metrics.csv", "layers.csv"):
+            assert (tmp_path / "shared" / name).read_bytes() == \
+                   (tmp_path / "alone" / name).read_bytes(), name
+
+    def test_rerun_of_ablations_draws_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = _exp_cfg(out, sanity=True)
+        run_experiment(cfg)
+        first = {n: (out / n).read_bytes() for n in ("metrics.csv", "layers.csv")}
+        for cell in ("cts+shuffle_s0.5_r0", "cts+invert_s0.5_r0"):
+            (out / "cells" / f"{cell}.json").unlink()
+        ran = self._count_cells(monkeypatch)
+        draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
+        _, failures = run_experiment(cfg)
+        assert not failures
+        assert ran == [(0.5, 0, "shuffle"), (0.5, 0, "invert")]
+        assert len(draws()) == 1
+        assert {n: (out / n).read_bytes() for n in first} == first
+
+    def test_rerun_of_base_cell_reuses_ablations(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = _exp_cfg(out, sanity=True)
+        run_experiment(cfg)
+        first = {n: (out / n).read_bytes() for n in ("metrics.csv", "layers.csv")}
+        (out / "cells" / "cts_s0.5_r0.json").unlink()
+        ran = self._count_cells(monkeypatch)
+        draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
+        run_experiment(cfg)
+        assert ran == [(0.5, 0, "")]
+        assert len(draws()) == 1
+        assert {n: (out / n).read_bytes() for n in first} == first
+
+    def test_no_draw_crosses_sweeps(self, tmp_path, monkeypatch):
+        draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
+        run_experiment(_exp_cfg(tmp_path / "a", sanity=True))
+        run_experiment(_exp_cfg(tmp_path / "b", sanity=True))
+        assert len(draws()) == 2
+        assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
 
     def test_report_aggregates(self, tmp_path):
         run_experiment(_exp_cfg(tmp_path, repeats=2))

@@ -284,6 +284,26 @@ class TestGraphSemantics:
         grads = backward(out, wrt=[other])
         np.testing.assert_array_equal(grads[id(other)].data, np.zeros(3))
 
+    def test_untracked_parent_gets_no_adjoint(self, monkeypatch):
+        # the data batch needs no gradient, so conv2d and matmul skip its adjoint
+        x = Tensor(RNG.standard_normal((2, 1, 5, 5)))
+        w = Tensor(RNG.standard_normal((3, 1, 3, 3)), requires_grad=True)
+        a = Tensor(RNG.standard_normal((4, 2)))
+        b = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
+        out = T.add(T.sum_(T.conv2d(x, w)), T.sum_(T.matmul(a, b)))
+        calls = []
+        for name in ("conv2d_input_grad", "matmul"):
+            real = getattr(T, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(T, name, counting)
+        _, gb = grad(out, [w, b])
+        assert calls == ["matmul"]  # b's adjoint only
+        np.testing.assert_allclose(gb.data, a.data.T @ np.ones((4, 3)))
+
     def test_grad_of_untracked_tensor_errors(self):
         leaf = Tensor(np.ones(3), requires_grad=True)
         untracked = Tensor(np.ones(3))
