@@ -86,12 +86,9 @@ def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.nda
     batch-norm layers are bypassed. Relu is kept; it is the identity on the
     resulting all-positive activations.
     """
-    abs_model = model.copy()
-    v = np.abs(abs_model.maskable_vector()) * mask_vec
-    abs_model.set_maskable_vector(v)
-    for name in list(abs_model.params):
-        if not name.endswith(".w"):
-            abs_model.params[name] = np.abs(abs_model.params[name])
+    abs_model = model.masked(mask_vec)
+    for name, p in abs_model.params.items():
+        abs_model.params[name] = np.abs(p)
     specs = tuple(_strip_batchnorm(abs_model.specs))
     abs_model.specs = specs
     x = np.ones((1,) + abs_model.input_shape)
@@ -103,7 +100,7 @@ def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.nda
     wrt = [leaves[name] for name, _, _ in abs_model.maskable_index]
     gmap = T.backward(total, wrt=wrt)
     g = np.concatenate([gmap[id(t)].data.reshape(-1) for t in wrt])
-    return g * v
+    return g * abs_model.maskable_vector()
 
 
 def _strip_batchnorm(specs):
@@ -220,7 +217,7 @@ def run_ltr(cfg: LtrConfig, arch: str, data: Dataset,
     mask = np.ones(d, dtype=np.int64)
     for r in range(1, cfg.rounds + 1):
         # train() starts from a copy of model_k with the pruned weights zeroed
-        final = train(model_k, data, cfg.train, mask=mask.astype(np.float64), start_step=k)
+        final = train(model_k, data, cfg.train, mask=mask, start_step=k)
         # prune to round(d * (1-p)^r) survivors by final magnitude, globally
         surviving = int(np.floor(d * (1 - cfg.prune_fraction) ** r + 0.5))
         magnitudes = np.abs(final.maskable_vector())

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import baselines as bl
@@ -31,26 +32,33 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", default="mlp-2x256")
 
 
-def _add_search_args(p: argparse.ArgumentParser) -> None:
+def _add_kappa(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float, default=0.05, help="target density")
+
+
+def _add_ticket_args(p: argparse.ArgumentParser) -> None:
+    """The objective that scores a ticket, and the training around it."""
     p.add_argument("--objective", default="kl", choices=sorted(obj.OBJECTIVES))
+    p.add_argument("--train-steps", type=int, default=1000)
+    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--rewind-step", type=int, default=0)
+
+
+def _add_search_args(p: argparse.ArgumentParser) -> None:
+    """How the CTS search runs; a baseline reads none of these."""
     p.add_argument("--controller", default="gradbalance", choices=["gradbalance", "lagrange"])
     p.add_argument("--steps", type=int, default=500, help="search steps")
     p.add_argument("--eta", type=float, default=0.99)
     p.add_argument("--lambda-lr", type=float, default=0.01)
     p.add_argument("--tau", type=float, default=mk.TAU_DEFAULT)
     p.add_argument("--quick-factor", type=float, default=1.0)
-    p.add_argument("--train-steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--rewind-step", type=int, default=0)
 
 
 def _search_cfg(args) -> SearchConfig:
-    return SearchConfig(kappa=args.kappa, tau=args.tau, steps=args.steps,
-                        objective=args.objective, controller=args.controller,
-                        eta=args.eta, lambda_lr=args.lambda_lr,
-                        batch_size=args.batch_size, quick_factor=args.quick_factor,
-                        seed_init=args.seed, seed_search=args.seed + 1,
+    """SearchConfig from the flags the subcommand has; fields without a flag
+    keep their defaults (a sweep's kappa is set per cell from its sparsity)."""
+    flags = {f.name: getattr(args, f.name) for f in fields(SearchConfig) if hasattr(args, f.name)}
+    return SearchConfig(**flags, seed_init=args.seed, seed_search=args.seed + 1,
                         seed_train=args.seed + 2)
 
 
@@ -152,12 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="one ticket search run")
     _add_common(p)
+    _add_kappa(p)
+    _add_ticket_args(p)
     _add_search_args(p)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("baseline", help="one baseline pruner run")
     _add_common(p)
-    _add_search_args(p)
+    _add_kappa(p)
+    _add_ticket_args(p)
     p.add_argument("--method", required=True,
                    choices=["ltr", "snip", "grasp", "synflow", "magnitude", "random"])
     p.set_defaults(fn=cmd_baseline)
@@ -165,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("sweep", cmd_sweep), ("sanity", cmd_sanity)):
         p = sub.add_parser(name, help=f"{name} over a (method, sparsity, seed) grid")
         _add_common(p)
+        _add_ticket_args(p)
         _add_search_args(p)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--method", default="cts", choices=["cts", "ltr", "snip", "grasp",
@@ -172,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sparsities", default="0.95")
         p.add_argument("--repeats", type=int, default=1)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--sanity", action="store_true")
+        if name == "sweep":
+            p.add_argument("--sanity", action="store_true")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("oracle", help="brute-force mask enumeration")

@@ -16,7 +16,7 @@ import numpy as np
 from . import objectives as obj
 from .mask import (MaskDistribution, sample_logistic, sparsity_loss,
                    sparsity_loss_grad)
-from .models import ModelState
+from .models import ModelState, StepSchedule
 
 GRADBALANCE_KAPPA_SLACK = 1.1
 ETA_DEFAULT = 0.99
@@ -49,7 +49,7 @@ class ControllerState:
 
 
 @dataclass
-class AdamState:
+class AdamState(StepSchedule):
     d: int
     lr: float = 0.1
     beta1: float = 0.9
@@ -65,13 +65,6 @@ class AdamState:
             self.m = np.zeros(self.d)
         if self.v is None:
             self.v = np.zeros(self.d)
-
-    def lr_at(self, step: int) -> float:
-        lr = self.lr
-        for drop_step, factor in self.lr_drops:
-            if step >= drop_step:
-                lr *= factor
-        return lr
 
 
 def search_adam(d: int, total_steps: int, lr: float = 0.1) -> AdamState:

@@ -135,18 +135,16 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
         value = info["objective_at_draw"]
         if ticket is not group.draw[0]:  # shuffle and invert score their own mask
             ex, ey = data.eval_batch(seed=seed + 1)
-            value = obj.hard_value(scfg.objective, info["rewind_model"], ex, ey,
-                                   ticket.mask.astype(np.float64))
+            value = obj.hard_value(scfg.objective, info["rewind_model"], ex, ey, ticket.mask)
     elif method == "ltr":
         p = cfg.ltr_prune_fraction
         rounds = max(1, int(round(math.log(max(kappa, 1e-12)) / math.log(1 - p))))
         lcfg = bl.LtrConfig(prune_fraction=p, rounds=rounds, train=tcfg)
         results, model_k = bl.run_ltr(lcfg, cfg.arch, data)
         ticket, final = results[-1]
-        acc, _ = evaluate(final, data.x_test, data.y_test, mask=ticket.mask.astype(np.float64))
+        acc, _ = evaluate(final.masked(ticket.mask), data.x_test, data.y_test)
         ex, ey = data.eval_batch(seed=seed + 1)
-        value = obj.hard_value(cfg.search.objective, model_k, ex, ey,
-                               ticket.mask.astype(np.float64))
+        value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask)
     else:
         ticket, final, value = _run_pai_cell(cfg, method, data, kappa, seed, tcfg)
         acc, _ = evaluate(final, data.x_test, data.y_test)
@@ -172,8 +170,7 @@ def _apply_ablation(variant, ticket, info, data, tcfg, seed):
         model = bl.sanity_ablate(ticket, "reinit", rewind, seed + 7)
     else:
         raise ExperimentError(f"unknown sanity variant '{variant}'")
-    final = train(model, data, tcfg, mask=ticket.mask.astype(np.float64),
-                  start_step=tcfg.rewind_step)
+    final = train(model, data, tcfg, mask=ticket.mask, start_step=tcfg.rewind_step)
     return ticket, final
 
 
@@ -197,9 +194,8 @@ def _run_pai_cell(cfg, method, data: Dataset, kappa, seed, tcfg: TrainConfig):
     else:
         raise ExperimentError(f"unknown method '{method}'")
     ex, ey = data.eval_batch(seed=seed + 1)
-    value = obj.hard_value(cfg.search.objective, model_k, ex, ey,
-                           ticket.mask.astype(np.float64))
-    final = train(model_k, data, tcfg, mask=ticket.mask.astype(np.float64), start_step=k)
+    value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask)
+    final = train(model_k, data, tcfg, mask=ticket.mask, start_step=k)
     return ticket, final, value
 
 

@@ -89,8 +89,19 @@ class ForwardTrace:
     loss: Tensor
 
 
+class StepSchedule:
+    """``lr`` times the factor of every ``lr_drops`` step already reached."""
+
+    def lr_at(self, step: int) -> float:
+        lr = self.lr
+        for drop_step, factor in self.lr_drops:
+            if step >= drop_step:
+                lr *= factor
+        return lr
+
+
 @dataclass
-class TrainConfig:
+class TrainConfig(StepSchedule):
     steps: int = 1000
     batch_size: int = 64
     lr: float = 0.1
@@ -105,13 +116,6 @@ class TrainConfig:
             raise ValueError("rewind step must satisfy 0 <= k < T")
         if self.lr <= 0 or self.batch_size <= 0:
             raise ValueError("rates and batch size must be positive")
-
-    def lr_at(self, step: int) -> float:
-        lr = self.lr
-        for drop_step, factor in self.lr_drops:
-            if step >= drop_step:
-                lr *= factor
-        return lr
 
 
 @dataclass
@@ -143,6 +147,20 @@ class ModelState:
         return ModelState(self.arch, self.seed, self.input_shape, self.num_classes,
                           self.specs, {k: v.copy() for k, v in self.params.items()},
                           list(self.maskable_index))
+
+    def masked(self, mask: np.ndarray) -> "ModelState":
+        """A copy whose maskable weights are zero where ``mask == 0``.
+
+        This is the one place a hard (0/1, int or float) mask meets the weights.
+        """
+        mask = np.asarray(mask)
+        if mask.size != self.d:
+            raise ModelError(f"mask length {mask.size} != d={self.d}")
+        out = self.copy()
+        v = out.maskable_vector()
+        v[mask == 0] = 0.0
+        out.set_maskable_vector(v)
+        return out
 
     def param_names(self) -> list[str]:
         return sorted(self.params.keys())
@@ -250,20 +268,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return T.neg(T.mean(T.sum_(T.mul(logp, Tensor(onehot)), axis=-1)))
 
 
-def _overlay_segment(overlay, off: int, sz: int, shape):
-    if isinstance(overlay, Tensor):
-        return T.reshape(T.narrow(overlay, slice(off, off + sz)), shape)
-    return Tensor(np.asarray(overlay)[off:off + sz].reshape(shape))
-
-
 def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
             overlay=None, capture_features: bool = False,
             param_tensors: dict[str, Tensor] | None = None,
             effective_out: dict[str, Tensor] | None = None) -> ForwardTrace:
     """Run the network; maskable weights are multiplied by ``overlay``.
 
-    ``overlay`` may be a numpy vector (hard mask), a tracked Tensor of
-    length d (soft mask), or None. Batch norm always uses current-batch
+    ``overlay`` is a vector of length d, numpy or Tensor; the search passes
+    its soft mask as a tracked Tensor. Hard masks go through
+    ``ModelState.masked`` instead. Batch norm always uses current-batch
     statistics. Features are the post-relu activations, logits excluded.
     """
     if overlay is not None:
@@ -278,7 +291,7 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
         w = param_tensors[name]
         if overlay is not None and name in mask_off:
             off, sz = mask_off[name]
-            w = T.mul(w, _overlay_segment(overlay, off, sz, w.shape))
+            w = T.mul(w, T.reshape(T.narrow(overlay, slice(off, off + sz)), w.shape))
         if effective_out is not None:
             effective_out[name] = w
         return w
@@ -329,14 +342,14 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
 
 
 def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray,
-             mask: np.ndarray | None = None, batch_size: int = 256) -> tuple[float, float]:
+             batch_size: int = 256) -> tuple[float, float]:
     """Returns (accuracy, mean loss) over the given arrays."""
     correct = 0
     losses = []
     with T.no_grad():
         for i in range(0, len(x), batch_size):
             xb, yb = x[i:i + batch_size], y[i:i + batch_size]
-            trace = forward(model, xb, yb, overlay=mask)
+            trace = forward(model, xb, yb)
             pred = np.argmax(trace.logits.data, axis=1)
             correct += int((pred == yb).sum())
             losses.append(trace.loss.item() * len(xb))
@@ -355,12 +368,8 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
     The learning-rate schedule is indexed by global step, so a retrain that
     resumes at step k inherits the schedule position.
     """
-    out = model.copy()
+    out = model.copy() if mask is None else model.masked(mask)
     stop = cfg.steps if stop_step is None else stop_step
-    if mask is not None:
-        v = out.maskable_vector()
-        v[mask == 0] = 0.0
-        out.set_maskable_vector(v)
     names = [n for n in out.params]
     momentum = {n: np.zeros_like(out.params[n]) for n in names}
     mask_off = {name: (off, sz) for name, off, sz in out.maskable_index}

@@ -5,7 +5,8 @@ evaluated outside the gradient graph. The two gradient-based objectives
 (gradnorm, grad) are functions of the student's loss gradient; that gradient
 is built in-graph, so the search differentiates it again (double-backward)
 on every architecture. The graph is differentiated w.r.t. the soft mask, and
-the chain to the mask logits is applied analytically.
+the chain to the mask logits is applied analytically. A hard mask is scored
+by the same code on the masked copy of the weights (``hard_value``).
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ def feature_match(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
 
 def neg_grad_norm(student_grads: list[Tensor]) -> Tensor:
     flat = T.concat([T.reshape(g, (g.size,)) for g in student_grads])
+    if not np.any(flat.data):
+        # -||g|| has no derivative at g = 0, where sqrt's vjp is infinite;
+        # -sum(g^2) has the same value there and gradient 0, a supergradient
+        return T.neg(T.sum_(T.mul(flat, flat)))
     return T.neg(T.l2_norm(flat))
 
 
@@ -118,38 +123,33 @@ def _teacher_trace(model: ModelState, x, y, capture: bool) -> ForwardTrace:
         return forward(model, x, y, capture_features=capture)
 
 
-def _maskable_grads(model: ModelState, x, y, theta_eff: np.ndarray) -> list[np.ndarray]:
-    """Per-layer loss gradients w.r.t. the maskable weights set to theta_eff."""
-    m = model.copy()
-    m.set_maskable_vector(theta_eff)
-    leaves = {k: Tensor(v, requires_grad=(k in {n for n, _, _ in m.maskable_index}))
-              for k, v in m.params.items()}
-    trace = forward(m, x, y, param_tensors=leaves)
-    wrt = [leaves[name] for name, _, _ in m.maskable_index]
+def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
+    """Per-layer loss gradients w.r.t. the maskable weights."""
+    names = [name for name, _, _ in model.maskable_index]
+    leaves = {k: Tensor(v, requires_grad=k in names) for k, v in model.params.items()}
+    trace = forward(model, x, y, param_tensors=leaves)
+    wrt = [leaves[name] for name in names]
     gmap = T.backward(trace.loss, wrt=wrt)
     return [gmap[id(t)].data for t in wrt]
 
 
-def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
-    return _maskable_grads(model, x, y, model.maskable_vector())
-
-
 # -- unified evaluation --------------------------------------------------------
 
-def evaluate(tag: str, model: ModelState, x, y, overlay,
-             teacher: ForwardTrace | None = None) -> Tensor:
-    """Objective value as a (possibly tracked) scalar Tensor.
+def evaluate(tag: str, model: ModelState, x, y, overlay=None,
+             dense: ModelState | None = None) -> Tensor:
+    """Objective value of ``model`` under ``overlay``, against the teacher
+    ``dense`` (default: ``model`` itself), as a (possibly tracked) scalar.
 
-    ``overlay`` is a hard mask vector, a tracked soft-mask Tensor, or None.
-    gradnorm and grad build the student gradient nodes by an in-graph
-    backward, so they need a tracked overlay; use hard_value for hard masks.
+    ``overlay`` is a tracked soft-mask Tensor, a fixed vector, or None; a
+    hard mask is applied beforehand by ``ModelState.masked``. gradnorm and
+    grad build the student gradient by an in-graph backward under a tracked
+    overlay and take it from ``teacher_layer_grads`` under None.
     """
     kind = get_kind(tag)
+    dense = model if dense is None else dense
     capture = tag == "feature"
-    if kind.needs_teacher and teacher is None:
-        teacher = _teacher_trace(model, x, y, capture)
-
     if not kind.needs_student_grads:
+        teacher = _teacher_trace(dense, x, y, capture) if kind.needs_teacher else None
         student = forward(model, x, y, overlay=overlay, capture_features=capture)
         if tag == "loss":
             return task_loss(student)
@@ -159,18 +159,20 @@ def evaluate(tag: str, model: ModelState, x, y, overlay,
             return reverse_kl(student, teacher)
         return feature_match(student, teacher)
 
-    if not (isinstance(overlay, Tensor) and overlay.requires_grad):
+    if overlay is None:
+        grads = [Tensor(g) for g in teacher_layer_grads(model, x, y)]
+    elif isinstance(overlay, Tensor) and overlay.requires_grad:
+        effective: dict[str, Tensor] = {}
+        student = forward(model, x, y, overlay=overlay, capture_features=False,
+                          effective_out=effective)
+        eff_list = [effective[name] for name, _, _ in model.maskable_index]
+        grads = T.grad(student.loss, eff_list, create_graph=True)
+    else:
         raise ObjectiveError(f"'{tag}' needs a tracked soft-mask overlay; "
                              "use hard_value for a hard mask")
-    effective: dict[str, Tensor] = {}
-    student = forward(model, x, y, overlay=overlay, capture_features=False,
-                      effective_out=effective)
-    eff_list = [effective[name] for name, _, _ in model.maskable_index]
-    grads = T.grad(student.loss, eff_list, create_graph=True)
     if tag == "gradnorm":
         return neg_grad_norm(grads)
-    t_grads = teacher_layer_grads(model, x, y)
-    return grad_match(grads, t_grads)
+    return grad_match(grads, teacher_layer_grads(dense, x, y))
 
 
 def value_and_alpha_grad(tag: str, model: ModelState, x, y,
@@ -191,16 +193,4 @@ def value_and_alpha_grad(tag: str, model: ModelState, x, y,
 
 def hard_value(tag: str, model: ModelState, x, y, mask_vec: np.ndarray) -> float:
     """Objective value under a hard binary mask (no Concrete noise)."""
-    kind = get_kind(tag)
-    if not kind.needs_student_grads:
-        with T.no_grad():
-            return evaluate(tag, model, x, y, overlay=np.asarray(mask_vec, dtype=np.float64)).item()
-    theta_eff = model.maskable_vector() * np.asarray(mask_vec, dtype=np.float64)
-    g_layers = _maskable_grads(model, x, y, theta_eff)
-    if tag == "gradnorm":
-        g_flat = np.concatenate([g.reshape(-1) for g in g_layers])
-        return -float(np.linalg.norm(g_flat))
-    t_grads = teacher_layer_grads(model, x, y)
-    with T.no_grad():
-        shaped = [Tensor(g) for g in g_layers]
-        return grad_match(shaped, t_grads).item()
+    return evaluate(tag, model.masked(mask_vec), x, y, dense=model).item()

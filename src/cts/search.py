@@ -37,7 +37,6 @@ class SearchConfig:
     seed_init: int = 0
     seed_search: int = 1
     seed_train: int = 2
-    multi_sample: int = 1          # soft-mask samples averaged per step
 
     def __post_init__(self):
         if not 0 < self.kappa <= 1:
@@ -86,20 +85,15 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
     for step in range(n_steps):
         xb, yb = data.batch(step, cfg.batch_size, cfg.seed_search, split="train")
         rng = mk.step_rng(cfg.seed_search, step, stream=1)
-        g_acc = None
-        r_acc = 0.0
-        for _ in range(cfg.multi_sample):
-            if state.mode == "lagrange":
-                g_alpha, g_lambda, r_val, _ = ctl.lagrange_step(
-                    model, dist, state, (xb, yb), cfg.objective, rng)
-                state.lam = state.lam - state.lambda_lr * g_lambda
-            else:
-                g_alpha, lam, r_val, _ = ctl.gradbalance_step(
-                    model, dist, state, (xb, yb), cfg.objective, rng)
-                state.lam = lam
-            g_acc = g_alpha if g_acc is None else g_acc + g_alpha
-            r_acc += r_val
-        ctl.adam_update(dist, g_acc / cfg.multi_sample, adam)
+        if state.mode == "lagrange":
+            g_alpha, g_lambda, r_val, _ = ctl.lagrange_step(
+                model, dist, state, (xb, yb), cfg.objective, rng)
+            state.lam = state.lam - state.lambda_lr * g_lambda
+        else:
+            g_alpha, lam, r_val, _ = ctl.gradbalance_step(
+                model, dist, state, (xb, yb), cfg.objective, rng)
+            state.lam = lam
+        ctl.adam_update(dist, g_alpha, adam)
 
         ed = mk.expected_density(dist)
         if was_above and ed <= state.kappa_eff:
@@ -109,7 +103,7 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
             metrics.overshoot_violations += 1
 
         metrics.steps.append(step)
-        metrics.objective.append(r_acc / cfg.multi_sample)
+        metrics.objective.append(r_val)
         metrics.expected_density.append(ed)
         metrics.lam.append(state.lam)
 
@@ -136,8 +130,7 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     ticket = mk.clamp_topk(dist, cfg.kappa)
 
     eval_x, eval_y = data.eval_batch(seed=cfg.seed_search)
-    objective_at_draw = obj.hard_value(cfg.objective, model_k, eval_x, eval_y,
-                                       ticket.mask.astype(np.float64))
+    objective_at_draw = obj.hard_value(cfg.objective, model_k, eval_x, eval_y, ticket.mask)
 
     final = train(model_k, data, train_cfg, mask=ticket.mask, start_step=k)
     info = {

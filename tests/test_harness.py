@@ -455,6 +455,10 @@ class TestCli:
         assert cli_main(["search", "--objective", "entropy"]) == 2
         assert cli_main(["frobnicate"]) == 2
         assert cli_main(["search", "--precision", "float32"]) == 2
+        # flags that no baseline reads, and a kappa a sweep sets per cell
+        assert cli_main(["baseline", "--method", "snip", "--steps", "5"]) == 2
+        assert cli_main(["sweep", "--kappa", "0.1"]) == 2
+        assert cli_main(["sanity", "--sanity"]) == 2
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

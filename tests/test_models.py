@@ -97,6 +97,33 @@ class TestOverlay:
         assert np.all(trace.features[0].data >= 0)
 
 
+class TestMasked:
+    def test_zeroes_exactly_the_masked_entries(self):
+        model = build_model("lenet-conv4", 0)
+        rng = np.random.default_rng(0)
+        mask = (rng.random(model.d) < 0.3).astype(np.int64)
+        before = {k: v.copy() for k, v in model.params.items()}
+        out = model.masked(mask)
+        v, theta = out.maskable_vector(), model.maskable_vector()
+        np.testing.assert_array_equal(v[mask == 0], 0.0)
+        np.testing.assert_array_equal(v[mask == 1], theta[mask == 1])
+        for name in model.params:  # the source is untouched, the rest is copied
+            np.testing.assert_array_equal(model.params[name], before[name])
+            if name not in {n for n, _, _ in model.maskable_index}:
+                np.testing.assert_array_equal(out.params[name], before[name])
+
+    def test_int_and_float_masks_agree(self):
+        model = build_model("tiny-mlp", 0)
+        mask = (np.arange(model.d) % 3 == 0).astype(np.int64)
+        np.testing.assert_array_equal(model.masked(mask).maskable_vector(),
+                                      model.masked(mask.astype(np.float64)).maskable_vector())
+
+    def test_length_checked(self):
+        model = build_model("tiny-mlp", 0)
+        with pytest.raises(ModelError):
+            model.masked(np.ones(model.d + 1))
+
+
 class TestTrain:
     def test_blob_mlp_reaches_high_accuracy(self):
         data = small_data()

@@ -226,3 +226,42 @@ class TestAnalyticMaskChain:
     @pytest.mark.parametrize("tag", ["gradnorm", "grad"])
     def test_resnet(self, tag):
         self._check("resnet-tiny", (1, 8, 8), tag)
+
+
+class TestHardMaskPath:
+    """A hard mask is a masked copy of the weights, scored by evaluate."""
+
+    @pytest.mark.parametrize("tag", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("arch,shape", [("tiny-mlp", (4,)), ("mlp-2x256", (20,)),
+                                            ("lenet-conv4", (1, 8, 8)),
+                                            ("resnet-tiny", (1, 8, 8))])
+    def test_hard_value_equals_tracked_overlay(self, arch, shape, tag):
+        model = build_model(arch, 0, shape, 3)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8,) + shape)
+        y = rng.integers(0, 3, 8)
+        mask = (rng.random(model.d) < 0.5).astype(np.float64)
+        tracked = obj.evaluate(tag, model, x, y, overlay=Tensor(mask, requires_grad=True))
+        assert hard_value(tag, model, x, y, mask) == tracked.item()
+
+    def test_grad_runs_no_unread_teacher_forward(self, monkeypatch):
+        # the student forward and the teacher's gradient forward; no teacher trace
+        model = build_model("tiny-mlp", 0, (4,), 2)
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((8, 4)), rng.integers(0, 2, 8)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("overlay") is not None)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(obj, "forward", counting)
+        obj.evaluate("grad", model, x, y, overlay=Tensor(np.full(model.d, 0.5), requires_grad=True))
+        assert len(calls) == 2 and sum(calls) == 1
+
+    def test_zero_gradient_norm_has_zero_gradient(self):
+        leaf = Tensor(np.zeros(3), requires_grad=True)
+        value = neg_grad_norm([leaf])
+        (g,) = T.grad(value, [leaf])
+        assert value.item() == 0.0
+        np.testing.assert_array_equal(g.data, 0.0)

@@ -57,10 +57,9 @@ class TestSearchPhase:
         assert len(metrics.expected_density) == 25
         assert dist.d == model.d
 
-    @pytest.mark.parametrize("controller,multi_sample,per_step", [
-        ("gradbalance", 1, 2), ("lagrange", 1, 2), ("gradbalance", 2, 3)])
-    def test_sigmoid_calls_per_step(self, monkeypatch, controller, multi_sample, per_step):
-        # one sigmoid over d entries per soft-mask sample, one per logits update
+    @pytest.mark.parametrize("controller", ["gradbalance", "lagrange"])
+    def test_sigmoid_calls_per_step(self, monkeypatch, controller):
+        # one sigmoid over d entries for the soft-mask sample, one per logits update
         data = _data()
         model = build_model("tiny-mlp", 0, data.input_shape, data.num_classes)
         calls = []
@@ -72,10 +71,9 @@ class TestSearchPhase:
 
         monkeypatch.setattr(T, "stable_sigmoid", counting)
         steps = 3
-        search_phase(model, _cfg(steps=steps, controller=controller,
-                                 multi_sample=multi_sample), data)
+        search_phase(model, _cfg(steps=steps, controller=controller), data)
         # plus one for the expected density before the first step
-        assert calls.count(model.d) == 1 + per_step * steps
+        assert calls.count(model.d) == 1 + 2 * steps
 
     def test_deterministic(self):
         data = _data()
@@ -98,12 +96,14 @@ class TestSearchPhase:
         dist, metrics = search_phase(model, _cfg(controller="lagrange"), data)
         assert np.all(np.isfinite(dist.logits))
 
-    def test_multi_sample_changes_trajectory(self):
+    def test_gradnorm_survives_zero_gradient(self):
+        # on this setup the masked student's loss gradient is exactly zero at
+        # some step; -||g|| is not differentiable there and used to raise
         data = _data()
-        model = build_model("tiny-mlp", 0, data.input_shape, data.num_classes)
-        d1, _ = search_phase(model, _cfg(multi_sample=1), data)
-        d2, _ = search_phase(model, _cfg(multi_sample=3), data)
-        assert not np.array_equal(d1.logits, d2.logits)
+        ticket, _, info = run_cts(_cfg(kappa=0.05, steps=20, objective="gradnorm"),
+                                  "tiny-mlp", data, _tcfg(steps=40, rewind_step=5))
+        assert ticket.mask.sum() == 1
+        assert np.all(np.isfinite(info["distribution"].logits))
 
 
 class TestRunCts:
