@@ -1,9 +1,8 @@
 """Concrete ticket search: differentiable pruning-mask search over frozen nets."""
 
-from .baselines import (LtrConfig, SaliencyScores, grasp_scores,
-                        magnitude_prune, noisy_overlay_scores, prune_by_scores,
-                        random_prune, run_ltr, sanity_ablate, snip_scores,
-                        synflow_prune)
+from .baselines import (LtrConfig, grasp_scores, magnitude_prune,
+                        noisy_overlay_scores, prune_by_scores, random_prune,
+                        run_ltr, sanity_ablate, snip_scores, synflow_prune)
 from .controllers import AdamState, ControllerState, gradbalance_step, lagrange_step
 from .data import Dataset, load_dataset, make_blobs
 from .experiment import ExperimentConfig, MetricsRecord, load_config, report, run_experiment
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "ControllerState", "Dataset", "ExperimentConfig", "LtrConfig",
     "MaskDistribution", "MetricsRecord", "ModelState", "OBJECTIVES",
-    "SaliencyScores", "SearchConfig", "SearchMetrics", "Tensor",
+    "SearchConfig", "SearchMetrics", "Tensor",
     "Ticket", "TrainConfig", "backward", "brute_force_oracle", "build_model",
     "clamp_topk", "evaluate", "evaluate_objective", "expected_density",
     "finite_diff_grad", "forward", "grad", "gradbalance_step", "grasp_scores",

@@ -15,10 +15,8 @@ import numpy as np
 from . import objectives as obj
 from . import tensor as T
 from .data import Dataset
-from .mask import MaskError, Ticket, _topk_mask, invert_clamp
-from .models import (BatchNorm, Conv, Dense, Flatten, GlobalAvgPool, ModelState,
-                     Relu, ResBlock, TrainConfig, _flatten_specs, build_model,
-                     forward, train)
+from .mask import Ticket, invert_clamp, ticket_size, topk_mask
+from .models import BatchNorm, ModelState, ResBlock, TrainConfig, build_model, forward, train
 from .tensor import Tensor
 
 NOISY_OVERLAY_SIGMA = 6e-2
@@ -27,18 +25,6 @@ SALIENCY_BATCH_FACTOR = 10  # scoring batch is 10x the training batch size
 
 class BaselineError(Exception):
     pass
-
-
-@dataclass
-class SaliencyScores:
-    scores: np.ndarray
-    method: str
-    selection: str  # "largest" | "largest_magnitude"
-
-    def ranking_values(self) -> np.ndarray:
-        if self.selection == "largest_magnitude":
-            return np.abs(self.scores)
-        return self.scores
 
 
 @dataclass
@@ -59,15 +45,15 @@ def _loss_grads(model: ModelState, x, y) -> np.ndarray:
     return np.concatenate([g.reshape(-1) for g in layers])
 
 
-def snip_scores(model: ModelState, batch) -> SaliencyScores:
+def snip_scores(model: ModelState, batch) -> np.ndarray:
     """|dL/dtheta * theta| over the maskable entries."""
     x, y = batch
     g = _loss_grads(model, x, y)
     theta = model.maskable_vector()
-    return SaliencyScores(np.abs(g * theta), "snip", "largest")
+    return np.abs(g * theta)
 
 
-def grasp_scores(model: ModelState, batch) -> SaliencyScores:
+def grasp_scores(model: ModelState, batch) -> np.ndarray:
     """-(H g) * theta, with the Hessian-vector product Hg by double-backward."""
     x, y = batch
     names = [n for n, _, _ in model.maskable_index]
@@ -76,7 +62,7 @@ def grasp_scores(model: ModelState, batch) -> SaliencyScores:
     grads = T.grad(forward(model, x, y, param_tensors=leaves).loss, wrt, create_graph=True)
     g_dot_g = sum(T.sum_(T.mul(g, g.detach())) for g in grads)
     hg = np.concatenate([h.data.reshape(-1) for h in T.grad(g_dot_g, wrt)])
-    return SaliencyScores(-(hg * model.maskable_vector()), "grasp", "largest")
+    return -(hg * model.maskable_vector())
 
 
 def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.ndarray:
@@ -117,25 +103,15 @@ def _strip_batchnorm(specs):
 
 def synflow_prune(model: ModelState, kappa: float, iterations: int = 100) -> Ticket:
     """Iterative flow-preserving pruning on an exponential density schedule."""
-    if not 0 < kappa <= 1:
+    if not 0 < kappa <= 1:  # checked here: a negative kappa gives a complex power below
         raise BaselineError(f"kappa must be in (0, 1], got {kappa}")
-    d = model.d
-    mask = np.ones(d)
-    if kappa >= 1.0:
-        return Ticket(mask=mask.astype(np.int64), layout=model.maskable_layout())
-    for t in range(1, iterations + 1):
-        target = kappa ** (t / iterations)
-        n_keep = max(1, int(np.floor(target * d + 0.5)))
-        scores = _synflow_surrogate_scores(model, mask)
-        # never resurrect pruned weights
-        scores[mask == 0] = -np.inf
-        order = np.argsort(-scores, kind="stable")
-        new_mask = np.zeros(d)
-        new_mask[order[:n_keep]] = 1.0
-        mask = new_mask
-        _check_layer_collapse(model, mask)
-    ticket = Ticket(mask=mask.astype(np.int64), layout=model.maskable_layout())
-    return ticket
+    mask = np.ones(model.d, dtype=np.int64)
+    if kappa < 1.0:
+        for t in range(1, iterations + 1):
+            scores = _synflow_surrogate_scores(model, mask)
+            mask = topk_mask(np.where(mask == 0, -np.inf, scores), kappa ** (t / iterations))
+            _check_layer_collapse(model, mask)
+    return Ticket(mask=mask, layout=model.maskable_layout())
 
 
 def _check_layer_collapse(model: ModelState, mask: np.ndarray) -> None:
@@ -146,12 +122,12 @@ def _check_layer_collapse(model: ModelState, mask: np.ndarray) -> None:
 
 def noisy_overlay_scores(model: ModelState, batch, objective: str,
                          sigma_noise: float = NOISY_OVERLAY_SIGMA,
-                         seed: int = 0) -> SaliencyScores:
+                         seed: int = 0) -> np.ndarray:
     """Scores for teacher-comparing objectives via a jittered identity overlay.
 
     With the exact identity overlay these objectives are exactly optimal and
     all gradients vanish, so a small Gaussian jitter is applied first. Noise
-    is fixed per scoring call. Selection is by score magnitude.
+    is fixed per scoring call. Scores are gradient magnitudes.
     """
     kind = obj.get_kind(objective)
     if not kind.needs_teacher:
@@ -160,73 +136,52 @@ def noisy_overlay_scores(model: ModelState, batch, objective: str,
     rng = np.random.default_rng(np.random.SeedSequence([41, seed]))
     s = 1.0 + sigma_noise * rng.standard_normal(model.d)
     if sigma_noise == 0.0:
-        return SaliencyScores(np.zeros(model.d), f"noisy-{objective}", "largest_magnitude")
+        return np.zeros(model.d)
     leaf = Tensor(s, requires_grad=True)
     value = obj.evaluate(objective, model, x, y, overlay=leaf)
     if not value.requires_grad:
-        return SaliencyScores(np.zeros(model.d), f"noisy-{objective}", "largest_magnitude")
+        return np.zeros(model.d)
     (g,) = T.grad(value, [leaf])
-    return SaliencyScores(np.abs(g.data), f"noisy-{objective}", "largest_magnitude")
+    return np.abs(g.data)
 
 
-def prune_by_scores(scores: SaliencyScores, kappa: float,
-                    layout=None) -> Ticket:
-    """Keep the top round(kappa*d) entries by the method's selection rule."""
-    if not 0 < kappa <= 1:
-        raise MaskError(f"kappa must be in (0, 1], got {kappa}")
-    mask = _topk_mask(scores.ranking_values(), kappa)
-    return Ticket(mask=mask, layout=list(layout) if layout else [])
+def prune_by_scores(scores: np.ndarray, kappa: float, layout=()) -> Ticket:
+    """Keep the top round(kappa*d) entries by score."""
+    return Ticket(mask=topk_mask(scores, kappa), layout=list(layout))
 
 
 def magnitude_prune(model: ModelState, kappa: float) -> Ticket:
-    scores = SaliencyScores(np.abs(model.maskable_vector()), "magnitude", "largest")
-    return prune_by_scores(scores, kappa, layout=model.maskable_layout())
+    return prune_by_scores(np.abs(model.maskable_vector()), kappa, model.maskable_layout())
 
 
-def random_prune(d: int, kappa: float, seed: int, layout=None) -> Ticket:
-    if not 0 < kappa <= 1:
-        raise MaskError(f"kappa must be in (0, 1], got {kappa}")
-    n = int(np.floor(kappa * d + 0.5))
-    if n <= 0:
-        raise MaskError("empty ticket: round(kappa * d) == 0")
+def random_prune(d: int, kappa: float, seed: int, layout=()) -> Ticket:
+    n = ticket_size(kappa, d)
     rng = np.random.default_rng(np.random.SeedSequence([43, seed]))
     mask = np.zeros(d, dtype=np.int64)
     mask[rng.choice(d, size=n, replace=False)] = 1
-    return Ticket(mask=mask, layout=list(layout) if layout else [])
+    return Ticket(mask=mask, layout=list(layout))
 
 
-def run_ltr(cfg: LtrConfig, arch: str, data: Dataset,
-            input_shape=None, num_classes=None):
+def run_ltr(cfg: LtrConfig, arch: str, data: Dataset):
     """Iterative magnitude pruning with rewinding.
 
     Round r trains the currently masked network to step T, prunes the
     smallest-magnitude fraction of surviving weights globally, and rewinds
     survivors to their step-k values. Densities follow (1-p)^r exactly.
     """
-    shape = input_shape if input_shape is not None else data.input_shape
-    classes = num_classes if num_classes is not None else data.num_classes
-    model0 = build_model(arch, cfg.train.seed, shape, classes)
+    model0 = build_model(arch, cfg.train.seed, data.input_shape, data.num_classes)
     k = cfg.train.rewind_step
-    if k > 0:
-        model_k = train(model0, data, cfg.train, stop_step=k)
-    else:
-        model_k = model0.copy()
-    d = model_k.d
+    model_k = train(model0, data, cfg.train, stop_step=k)
 
     results = []
-    mask = np.ones(d, dtype=np.int64)
+    mask = np.ones(model_k.d, dtype=np.int64)
     for r in range(1, cfg.rounds + 1):
         # train() starts from a copy of model_k with the pruned weights zeroed
         final = train(model_k, data, cfg.train, mask=mask, start_step=k)
-        # prune to round(d * (1-p)^r) survivors by final magnitude, globally
-        surviving = int(np.floor(d * (1 - cfg.prune_fraction) ** r + 0.5))
+        # keep the round(d * (1-p)^r) largest surviving weights by final magnitude
         magnitudes = np.abs(final.maskable_vector())
-        magnitudes[mask == 0] = -np.inf
-        order = np.argsort(-magnitudes, kind="stable")
-        new_mask = np.zeros(d, dtype=np.int64)
-        new_mask[order[:surviving]] = 1
-        mask = new_mask
-        results.append((Ticket(mask=mask.copy(), layout=model_k.maskable_layout()), final))
+        mask = topk_mask(np.where(mask == 0, -np.inf, magnitudes), (1 - cfg.prune_fraction) ** r)
+        results.append((Ticket(mask=mask, layout=model_k.maskable_layout()), final))
     return results, model_k
 
 

@@ -14,12 +14,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import baselines as bl
 from . import mask as mk
 from . import objectives as obj
 from .data import load_dataset
-from .experiment import (ExperimentConfig, ExperimentError, load_config, report,
-                         run_cell, run_experiment)
+from .experiment import (METHODS, ExperimentConfig, ExperimentError, load_config,
+                         report, run_cell, run_experiment)
 from .models import TrainConfig, build_model, evaluate, train
 from .oracle import brute_force_oracle
 from .search import SearchConfig, SearchError, run_cts
@@ -131,8 +130,7 @@ def cmd_sanity(args) -> int:
 def cmd_oracle(args) -> int:
     data = load_dataset(args.dataset)
     model = build_model(args.arch, args.seed, data.input_shape, data.num_classes)
-    if args.rewind_step > 0:
-        model = train(model, data, _train_cfg(args), stop_step=args.rewind_step)
+    model = train(model, data, _train_cfg(args), stop_step=args.rewind_step)
     batch = data.eval_batch(seed=args.seed)
     best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
     out = Path(args.out)
@@ -169,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_kappa(p)
     _add_ticket_args(p)
-    p.add_argument("--method", required=True,
-                   choices=["ltr", "snip", "grasp", "synflow", "magnitude", "random"])
+    p.add_argument("--method", required=True, choices=[m for m in METHODS if m != "cts"])
     p.set_defaults(fn=cmd_baseline)
 
     for name, fn in (("sweep", cmd_sweep), ("sanity", cmd_sanity)):
@@ -179,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_ticket_args(p)
         _add_search_args(p)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--method", default="cts", choices=["cts", "ltr", "snip", "grasp",
-                                                           "synflow", "magnitude", "random"])
+        p.add_argument("--method", default="cts", choices=METHODS)
         p.add_argument("--sparsities", default="0.95")
         p.add_argument("--repeats", type=int, default=1)
         p.add_argument("--workers", type=int, default=1)

@@ -177,7 +177,7 @@ def _apply_ablation(variant, ticket, info, data, tcfg, seed):
 def _run_pai_cell(cfg, method, data: Dataset, kappa, seed, tcfg: TrainConfig):
     model0 = build_model(cfg.arch, seed, data.input_shape, data.num_classes)
     k = tcfg.rewind_step
-    model_k = train(model0, data, tcfg, stop_step=k) if k > 0 else model0.copy()
+    model_k = train(model0, data, tcfg, stop_step=k)
     xb, yb = data.batch(0, tcfg.batch_size * bl.SALIENCY_BATCH_FACTOR, seed + 3)
     if method == "snip":
         ticket = bl.prune_by_scores(bl.snip_scores(model_k, (xb, yb)), kappa,
@@ -212,9 +212,16 @@ def _cell_id(method: str, sparsity: float, rep: int, variant: str = "") -> str:
 
 def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str) -> str:
     """sha256 of the config values a cell's result depends on: not the output
-    location, worker count or grid shape (sparsities, repeats, sanity)."""
+    location, worker count or grid shape (sparsities, repeats, sanity), and
+    only the fields its method reads. Every method scores its ticket with
+    ``search.objective``; only cts runs the search and only ltr prunes by
+    ``ltr_prune_fraction``."""
     doc = {k: v for k, v in asdict(cfg).items()
            if k not in ("out_dir", "workers", "sparsities", "repeats", "sanity")}
+    if cfg.method != "cts":
+        doc["search"] = {"objective": cfg.search.objective}
+    if cfg.method != "ltr":
+        del doc["ltr_prune_fraction"]
     return hashlib.sha256(json.dumps([doc, sparsity, rep, variant], sort_keys=True).encode()).hexdigest()
 
 

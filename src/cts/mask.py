@@ -126,30 +126,38 @@ def sparsity_loss_grad(dist: MaskDistribution, kappa_target: float) -> np.ndarra
     return a * (1.0 - a) / (kappa_target * dist.d)
 
 
-def _topk_mask(scores: np.ndarray, kappa: float) -> np.ndarray:
-    d = scores.size
-    n = int(np.floor(kappa * d + 0.5))  # round half-up
+def ticket_size(kappa: float, d: int) -> int:
+    """Entries a ticket of density kappa keeps out of d: round(kappa*d), half up."""
+    if not 0 < kappa <= 1:
+        raise MaskError(f"kappa must be in (0, 1], got {kappa}")
+    n = int(np.floor(kappa * d + 0.5))
     if n <= 0:
         raise MaskError("empty ticket: round(kappa * d) == 0")
-    # ties broken by lower flat index: stable sort of descending score
+    return n
+
+
+def topk_mask(scores: np.ndarray, kappa: float) -> np.ndarray:
+    """The one ticket cut: keep the ``ticket_size(kappa, d)`` highest scores.
+
+    Ties go to the lower flat index (a stable sort of descending score). A
+    -inf score sorts last, so an iterative pruner keeps its pruned weights
+    pruned by passing ``np.where(mask == 0, -np.inf, scores)``.
+    """
+    n = ticket_size(kappa, scores.size)
     order = np.argsort(-scores, kind="stable")
-    mask = np.zeros(d, dtype=np.int64)
+    mask = np.zeros(scores.size, dtype=np.int64)
     mask[order[:n]] = 1
     return mask
 
 
 def clamp_topk(dist: MaskDistribution, kappa: float) -> Ticket:
     """Deterministic ticket: keep the round(kappa*d) most probable entries."""
-    if not 0 < kappa <= 1:
-        raise MaskError(f"kappa must be in (0, 1], got {kappa}")
-    return Ticket(mask=_topk_mask(dist.logits, kappa), layout=list(dist.layout))
+    return Ticket(mask=topk_mask(dist.logits, kappa), layout=list(dist.layout))
 
 
 def invert_clamp(dist: MaskDistribution, kappa: float) -> Ticket:
     """Sanity-check variant: keep the least probable entries instead."""
-    if not 0 < kappa <= 1:
-        raise MaskError(f"kappa must be in (0, 1], got {kappa}")
-    return Ticket(mask=_topk_mask(-dist.logits, kappa), layout=list(dist.layout))
+    return Ticket(mask=topk_mask(-dist.logits, kappa), layout=list(dist.layout))
 
 
 # -- ticket container ---------------------------------------------------------

@@ -8,8 +8,6 @@ into one flat vector of length d that masks and overlays index into.
 
 from __future__ import annotations
 
-import dataclasses
-import io
 import json
 import struct
 from dataclasses import dataclass, field

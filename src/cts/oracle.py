@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import objectives as obj
-from .mask import Ticket
+from .mask import Ticket, ticket_size
 from .models import ModelState
 
 ORACLE_BUDGET = 5_000_000
@@ -31,9 +31,7 @@ def brute_force_oracle(model: ModelState, eval_batch, kappa: float,
     order does not depend on enumeration order.
     """
     d = model.d
-    n = int(np.floor(kappa * d + 0.5))
-    if n <= 0:
-        raise OracleError("empty ticket: round(kappa * d) == 0")
+    n = ticket_size(kappa, d)
     count = math.comb(d, n)
     if count > ORACLE_BUDGET:
         raise OracleError(

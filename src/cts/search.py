@@ -121,10 +121,7 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     """
     k = train_cfg.rewind_step
     model0 = build_model(arch, cfg.seed_init, data.input_shape, data.num_classes)
-    if k > 0:
-        model_k = train(model0, data, train_cfg, stop_step=k)
-    else:
-        model_k = model0.copy()
+    model_k = train(model0, data, train_cfg, stop_step=k)
 
     dist, metrics = search_phase(model_k, cfg, data)
     ticket = mk.clamp_topk(dist, cfg.kappa)

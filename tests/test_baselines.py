@@ -5,12 +5,14 @@ import pytest
 
 import cts.tensor as T
 from cts.baselines import (NOISY_OVERLAY_SIGMA, BaselineError, LtrConfig,
-                           SaliencyScores, grasp_scores, magnitude_prune,
-                           noisy_overlay_scores, prune_by_scores, random_prune,
-                           run_ltr, sanity_ablate, snip_scores, synflow_prune)
+                           grasp_scores, magnitude_prune, noisy_overlay_scores,
+                           prune_by_scores, random_prune, run_ltr, sanity_ablate,
+                           snip_scores, synflow_prune)
 from cts.data import make_blobs
+from cts.mask import MaskDistribution, MaskError, clamp_topk, invert_clamp, ticket_size
 from cts.models import TrainConfig, build_model, forward, train
 from cts.objectives import teacher_layer_grads
+from cts.oracle import brute_force_oracle
 
 
 def _data():
@@ -51,12 +53,10 @@ class TestSnip:
         x, y = _batch()
         scores = snip_scores(model, (x, y))
         expected = np.abs(_fd_loss_grads(model, x, y) * model.maskable_vector())
-        np.testing.assert_allclose(scores.scores, expected, rtol=1e-4, atol=1e-8)
-        assert scores.selection == "largest"
+        np.testing.assert_allclose(scores, expected, rtol=1e-4, atol=1e-8)
 
     def test_prune_keeps_top(self):
-        s = SaliencyScores(np.array([5.0, 1.0, 3.0, 2.0]), "snip", "largest")
-        t = prune_by_scores(s, 0.5)
+        t = prune_by_scores(np.array([5.0, 1.0, 3.0, 2.0]), 0.5)
         np.testing.assert_array_equal(t.mask, [1, 0, 1, 0])
 
 
@@ -80,7 +80,7 @@ class TestGrasp:
             mm.set_maskable_vector(vm)
             hess[:, i] = (_fd_loss_grads(mp, x, y) - _fd_loss_grads(mm, x, y)) / (2 * h)
         expected = -(hess @ g) * theta
-        np.testing.assert_allclose(scores.scores, expected, rtol=5e-3, atol=1e-7)
+        np.testing.assert_allclose(scores, expected, rtol=5e-3, atol=1e-7)
 
     def test_conv_matches_gradient_differences(self):
         # Hg against central differences of the loss gradient along g
@@ -98,12 +98,9 @@ class TestGrasp:
         u = g / np.linalg.norm(g)
         h = 1e-6
         hg = np.linalg.norm(g) * (loss_grad(theta + h * u) - loss_grad(theta - h * u)) / (2 * h)
-        scores = grasp_scores(model, (x, y)).scores
+        scores = grasp_scores(model, (x, y))
         np.testing.assert_allclose(scores, -(hg * theta), rtol=1e-4,
                                    atol=1e-6 * np.abs(scores).max())
-
-    def test_negative_selection_prefers_low_curvature(self):
-        assert grasp_scores(_model(), _batch()).selection == "largest"
 
 
 class TestSynflow:
@@ -171,15 +168,15 @@ class TestNoisyOverlay:
     def test_zero_sigma_returns_zero_scores(self):
         model = _model()
         s = noisy_overlay_scores(model, _batch(), "kl", sigma_noise=0.0)
-        assert np.all(s.scores == 0)
+        assert np.all(s == 0)
 
     def test_nonzero_and_deterministic(self):
         model = _model()
         a = noisy_overlay_scores(model, _batch(), "kl", seed=3)
         b = noisy_overlay_scores(model, _batch(), "kl", seed=3)
-        np.testing.assert_array_equal(a.scores, b.scores)
-        assert np.any(a.scores != 0)
-        assert a.selection == "largest_magnitude"
+        np.testing.assert_array_equal(a, b)
+        assert np.any(a != 0)
+        assert np.all(a >= 0)
 
     def test_default_sigma(self):
         assert NOISY_OVERLAY_SIGMA == pytest.approx(6e-2)
@@ -199,7 +196,8 @@ class TestLtr:
         d = model_k.d
         prev = np.ones(d)
         for r, (ticket, final) in enumerate(results, start=1):
-            assert ticket.mask.sum() == int(np.floor(d * 0.8 ** r + 0.5))
+            n = int(np.floor(d * 0.8 ** r + 0.5))
+            assert ticket.mask.sum() == ticket_size(0.8 ** r, d) == n
             # masks are nested
             assert np.all(ticket.mask <= prev)
             prev = ticket.mask
@@ -251,3 +249,41 @@ class TestSanityAblations:
         ticket, model = self._ticket()
         with pytest.raises(BaselineError):
             sanity_ablate(ticket, "scramble", model, seed=0)
+
+
+class TestOneCut:
+    """Every pruner cuts its ticket with mask.topk_mask / mask.ticket_size."""
+
+    @pytest.fixture(scope="class")
+    def pruners(self):
+        """Every pruner as kappa -> Ticket, on one lenet-conv4 model and batch."""
+        model = build_model("lenet-conv4", 0, (1, 8, 8), 4)
+        rng = np.random.default_rng(7)
+        batch = rng.standard_normal((16, 1, 8, 8)), rng.integers(0, 4, 16)
+        dist = MaskDistribution(rng.standard_normal(model.d), 2 / 3)
+        layout = model.maskable_layout()
+        snip, grasp = snip_scores(model, batch), grasp_scores(model, batch)
+        return model, {
+            "clamp_topk": lambda k: clamp_topk(dist, k),
+            "invert_clamp": lambda k: invert_clamp(dist, k),
+            "snip": lambda k: prune_by_scores(snip, k, layout),
+            "grasp": lambda k: prune_by_scores(grasp, k, layout),
+            "magnitude": lambda k: magnitude_prune(model, k),
+            "random": lambda k: random_prune(model.d, k, seed=0, layout=layout),
+            "synflow": lambda k: synflow_prune(model, k, iterations=4),
+        }
+
+    @pytest.mark.parametrize("kappa", [0.02, 0.1])
+    def test_every_pruner_keeps_ticket_size(self, pruners, kappa):
+        model, fns = pruners
+        for name, prune in fns.items():
+            assert prune(kappa).mask.sum() == ticket_size(kappa, model.d), name
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.5])
+    def test_every_pruner_rejects_kappa_outside_unit_interval(self, pruners, kappa):
+        _, fns = pruners
+        for name, prune in fns.items():
+            with pytest.raises(BaselineError if name == "synflow" else MaskError):
+                prune(kappa)
+        with pytest.raises(MaskError):
+            brute_force_oracle(_model(), _batch(), kappa, "loss")

@@ -247,6 +247,21 @@ class TestExperiment:
         assert ran == []
         assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("method, field, value, reruns", [
+        ("snip", "steps", 31, False),       # SNIP never runs the search
+        ("snip", "objective", "loss", True),  # but scores its ticket with the objective
+        ("cts", "steps", 31, True),
+    ])
+    def test_fingerprint_covers_the_fields_a_method_reads(self, tmp_path, monkeypatch,
+                                                          method, field, value, reruns):
+        cfg = _exp_cfg(tmp_path, method=method, repeats=2)
+        run_experiment(cfg)
+        setattr(cfg.search, field, value)
+        ran = self._count_cells(monkeypatch)
+        _, failures = run_experiment(cfg)
+        assert not failures
+        assert ran == ([(0.5, 0, ""), (0.5, 1, "")] if reruns else [])
+
     def test_failed_rerun_drops_stale_record(self, tmp_path, monkeypatch):
         run_experiment(_exp_cfg(tmp_path))
 

@@ -10,7 +10,8 @@ from cts.mask import (KAPPA_CLAMP, TAU_DEFAULT, MaskDistribution, MaskError,
                       Ticket, clamp_topk, expected_density, init_distribution,
                       invert_clamp, load_ticket, sample_logistic,
                       save_ticket, soft_mask,
-                      sparsity_loss, sparsity_loss_grad, step_rng)
+                      sparsity_loss, sparsity_loss_grad, step_rng,
+                      ticket_size, topk_mask)
 
 
 class TestInit:
@@ -165,6 +166,18 @@ class TestClamp:
                 clamp_topk(dist, kappa)
         else:
             assert clamp_topk(dist, kappa).mask.sum() == n
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.6, 0.8])
+    def test_topk_mask_keeps_neg_inf_last(self, kappa):
+        # the rule iterative pruners rely on to keep pruned weights pruned
+        scores = np.array([1.0, -np.inf, 2.0, 2.0, -np.inf, 0.5, -np.inf, 2.0, -3.0, -np.inf])
+        m = topk_mask(scores, kappa)
+        finite = np.isfinite(scores)
+        assert m.sum() == ticket_size(kappa, scores.size)
+        assert not (np.any(m[~finite]) and not np.all(m[finite]))
+        # ties, -inf ones included, go to the lower index
+        order = [2, 3, 7, 0, 5, 8, 1, 4, 6, 9]
+        np.testing.assert_array_equal(np.flatnonzero(m), sorted(order[:m.sum()]))
 
     def test_invert_disjoint_when_half(self):
         dist = MaskDistribution(np.random.default_rng(0).standard_normal(10),
