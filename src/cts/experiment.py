@@ -214,11 +214,15 @@ def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant:
     """sha256 of the config values a cell's result depends on: not the output
     location, worker count or grid shape (sparsities, repeats, sanity), and
     only the fields its method reads. Every method scores its ticket with
-    ``search.objective``; only cts runs the search and only ltr prunes by
+    ``search.objective``; only cts runs the search, less the kappa and seeds
+    that ``run_cell`` sets from the cell, and only ltr prunes by
     ``ltr_prune_fraction``."""
     doc = {k: v for k, v in asdict(cfg).items()
            if k not in ("out_dir", "workers", "sparsities", "repeats", "sanity")}
-    if cfg.method != "cts":
+    if cfg.method == "cts":
+        for k in ("kappa", "seed_init", "seed_search", "seed_train"):
+            del doc["search"][k]
+    else:
         doc["search"] = {"objective": cfg.search.objective}
     if cfg.method != "ltr":
         del doc["ltr_prune_fraction"]

@@ -274,8 +274,9 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
 
     ``overlay`` is a vector of length d, numpy or Tensor; the search passes
     its soft mask as a tracked Tensor. Hard masks go through
-    ``ModelState.masked`` instead. Batch norm always uses current-batch
-    statistics. Features are the post-relu activations, logits excluded.
+    ``ModelState.masked`` instead. Each batch norm is one
+    ``tensor.batch_norm`` node with current-batch statistics. Features are
+    the post-relu activations, logits excluded.
     """
     if overlay is not None:
         olen = overlay.size if isinstance(overlay, Tensor) else np.asarray(overlay).size
@@ -306,15 +307,8 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
                 h = T.conv2d(h, weight(s.name + ".w"), stride=s.stride, padding=s.padding)
                 h = T.add(h, T.reshape(b, (1, b.size, 1, 1)))
             elif isinstance(s, BatchNorm):
-                axes = (0, 2, 3)
-                mu = T.mean(h, axis=axes, keepdims=True)
-                xc = T.add(h, T.neg(T.broadcast_to(mu, h.shape)))
-                var = T.mean(T.mul(xc, xc), axis=axes, keepdims=True)
-                inv = T.power(T.add(var, BN_EPS), -0.5)
-                hn = T.mul(xc, T.broadcast_to(inv, h.shape))
-                g = T.reshape(param_tensors[s.name + ".g"], (1, s.ch, 1, 1))
-                b = T.reshape(param_tensors[s.name + ".b"], (1, s.ch, 1, 1))
-                h = T.add(T.mul(hn, g), b)
+                h = T.batch_norm(h, param_tensors[s.name + ".g"],
+                                 param_tensors[s.name + ".b"], BN_EPS)
             elif isinstance(s, Relu):
                 h = T.relu(h)
                 if capture_features:

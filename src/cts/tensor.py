@@ -1,13 +1,16 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
 Covers exactly the op set the small models and pruning objectives need:
-elementwise arithmetic with broadcasting, matmul, 2-D convolution, relu,
-sigmoid, exp/log, log-softmax, reductions, slicing/concat and the L2 norm.
-Every backward rule is itself composed of these primitives, so gradients can
-be differentiated again (needed when an objective is a function of a
-gradient, and for Hessian-vector products). Convolution's two adjoints,
+elementwise arithmetic with broadcasting, matmul, 2-D convolution, batch
+norm, relu, sigmoid, exp/log, log-softmax, reductions, slicing/concat and the
+L2 norm. Every backward rule is itself composed of these primitives, so
+gradients can be differentiated again (needed when an objective is a function
+of a gradient, and for Hessian-vector products). Convolution's two adjoints,
 ``conv2d_input_grad`` and ``conv2d_weight_grad``, are tracked primitives
-whose own vjps are convolutions and each other.
+whose own vjps are convolutions and each other. Batch norm's input adjoint,
+``batch_norm_input_grad``, is a tracked primitive too; its own adjoint in the
+input is the one rule that is a plain numpy kernel, so a third derivative
+through batch norm raises GraphError.
 """
 
 from __future__ import annotations
@@ -422,40 +425,51 @@ def l2_norm(a) -> Tensor:
 # -- convolution / pooling ----------------------------------------------------
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """Rows (n, oh, ow), columns (c, kh, kw): one slab copy per kernel
+    offset, kh·kw in all, out of a zero-padded NHWC copy of ``x``."""
     n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (x.shape[2] - kh) // stride + 1
-    ow = (x.shape[3] - kw) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (n, c, oh, ow, kh, kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(n * oh * ow, c * kh * kw)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
+    """Adjoint of _im2col: sums each column back onto its input position,
+    in an NHWC buffer, and returns a C-contiguous NCHW array."""
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    xp = np.zeros((n, hp, wp, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, oh, ow, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[:, :, :, :, i, j]
-    if padding:
-        return xp[:, :, padding:hp - padding, padding:wp - padding]
-    return xp
+            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[..., i, j]
+    return np.ascontiguousarray(xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
 
 
-def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), NCHW input, OIHW filters."""
+def conv2d(x, w, stride: int = 1, padding: int = 0,
+           cols: np.ndarray | None = None) -> Tensor:
+    """2-D convolution (cross-correlation), NCHW input, OIHW filters.
+
+    ``cols`` is im2col(x) when the caller already has it.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
     n = x.shape[0]
     co, ci, kh, kw = w.shape
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    oh = (x.shape[2] + 2 * padding - kh) // stride + 1
+    ow = (x.shape[3] + 2 * padding - kw) // stride + 1
+    if cols is None:
+        cols = _im2col(x.data, kh, kw, stride, padding)
     out = (cols @ w.data.reshape(co, -1).T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
     def vjp(g):
@@ -489,15 +503,101 @@ def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
     x, g = _as_tensor(x), _as_tensor(g)
     co, ci, kh, kw = w_shape
     if cols is None:
-        cols, _, _ = _im2col(x.data, kh, kw, stride, padding)
+        cols = _im2col(x.data, kh, kw, stride, padding)
     g2 = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
     out = (g2.T @ cols).reshape(w_shape)
 
     def vjp(v):
         return (conv2d_input_grad(g, v, x.shape, stride, padding) if x.requires_grad else None,
-                conv2d(x, v, stride=stride, padding=padding) if g.requires_grad else None)
+                conv2d(x, v, stride=stride, padding=padding, cols=cols)
+                if g.requires_grad else None)
 
     return _make(out, "conv2d_weight_grad", (x, g), vjp)
+
+
+# -- batch norm ---------------------------------------------------------------
+
+_BN_AXES = (0, 2, 3)
+
+
+def _bn_stats(h: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ = (h − mean) · inv and inv = (var + eps)^-1/2 per channel of NCHW
+    ``h``, with the mean and variance over (n, h, w)."""
+    n = h.size // h.shape[1]
+    mu = h.sum(axis=_BN_AXES, keepdims=True) * (1.0 / n)
+    xc = h + -mu
+    var = (xc * xc).sum(axis=_BN_AXES, keepdims=True) * (1.0 / n)
+    inv = (var + eps) ** -0.5
+    return xc * inv, inv
+
+
+def batch_norm(h, gamma, beta, eps: float) -> Tensor:
+    """Batch norm of NCHW ``h`` with current-batch statistics:
+    x̂ · gamma + beta, with ``gamma`` and ``beta`` of shape (c,)."""
+    h, gamma, beta = _as_tensor(h), _as_tensor(gamma), _as_tensor(beta)
+    if h.data.ndim != 4 or gamma.shape != (h.shape[1],) or beta.shape != (h.shape[1],):
+        raise ShapeError("batch_norm", h.shape, gamma.shape, beta.shape)
+    stats = _bn_stats(h.data, eps)
+    out = stats[0] * gamma.data.reshape(1, -1, 1, 1) + beta.data.reshape(1, -1, 1, 1)
+
+    def vjp(g):
+        return (batch_norm_input_grad(g, h, gamma, eps, stats) if h.requires_grad else None,
+                sum_(mul(g, _normalized(h, eps, stats)), axis=_BN_AXES)
+                if gamma.requires_grad else None,
+                sum_(g, axis=_BN_AXES) if beta.requires_grad else None)
+
+    return _make(out, "batch_norm", (h, gamma, beta), vjp)
+
+
+def _normalized(h: Tensor, eps: float, stats) -> Tensor:
+    """x̂ of ``h`` as a node tracked in h: batch_norm(h, 1, 0, eps)."""
+    ones = Tensor(np.ones(h.shape[1], dtype=h.data.dtype))
+    return _make(stats[0], "batch_norm", (h,),
+                 lambda v: (batch_norm_input_grad(v, h, ones, eps, stats),))
+
+
+def batch_norm_input_grad(gy, h, gamma, eps: float, stats=None) -> Tensor:
+    """Adjoint of batch_norm in its input: gamma · inv · (gy − mean gy −
+    x̂ · mean(gy · x̂)), per channel over (n, h, w).
+
+    ``stats`` is _bn_stats(h, eps) when the caller already has it. The
+    adjoints in gy and gamma are tracked; the one in h is a numpy kernel, so
+    a third derivative through h raises GraphError.
+    """
+    gy, h, gamma = _as_tensor(gy), _as_tensor(h), _as_tensor(gamma)
+    if gy.shape != h.shape:
+        raise ShapeError("batch_norm_input_grad", gy.shape, h.shape)
+    xhat, inv = _bn_stats(h.data, eps) if stats is None else stats
+    a = gy.data
+    gam = gamma.data.reshape(1, -1, 1, 1)
+    m = (a * xhat).mean(axis=_BN_AXES, keepdims=True)
+    out = gam * inv * (a - a.mean(axis=_BN_AXES, keepdims=True) - xhat * m)
+
+    def vjp(u):
+        if h.requires_grad and _grad_enabled:
+            raise GraphError("batch_norm_input_grad: the adjoint in h is not "
+                             "differentiable again")
+        return (
+            # the Jacobian in gy is symmetric, so this map is its own adjoint
+            batch_norm_input_grad(u, h, gamma, eps, stats) if gy.requires_grad else None,
+            _make(_bn_input_grad_h_adjoint(u.data, a, xhat, inv, gam, m),
+                  "batch_norm_input_grad_h", (), None) if h.requires_grad else None,
+            sum_(mul(u, batch_norm_input_grad(gy, h, np.ones_like(gamma.data), eps, stats)),
+                 axis=_BN_AXES) if gamma.requires_grad else None)
+
+    return _make(out, "batch_norm_input_grad", (gy, h, gamma), vjp)
+
+
+def _bn_input_grad_h_adjoint(u, a, xhat, inv, gam, m):
+    """⟨u, batch_norm_input_grad(a, h, gamma)⟩ differentiated in h:
+    gamma · inv² · [x̂(3Pm − C)/N − m(u − ū) − P(a − ā)/N], with
+    P = Σ u·x̂, m = mean(a·x̂) and C = Σ (u − ū)(a − ā)."""
+    n = a.size // a.shape[1]
+    uc = u - u.mean(axis=_BN_AXES, keepdims=True)
+    ac = a - a.mean(axis=_BN_AXES, keepdims=True)
+    p = (u * xhat).sum(axis=_BN_AXES, keepdims=True)
+    c = (uc * ac).sum(axis=_BN_AXES, keepdims=True)
+    return gam * inv * inv * (xhat * ((3.0 * p * m - c) / n) - m * uc - (p / n) * ac)
 
 
 def avg_pool2d(x, k: int) -> Tensor:

@@ -251,6 +251,8 @@ class TestExperiment:
         ("snip", "steps", 31, False),       # SNIP never runs the search
         ("snip", "objective", "loss", True),  # but scores its ticket with the objective
         ("cts", "steps", 31, True),
+        ("cts", "kappa", 0.3, False),       # run_cell sets kappa from the sparsity
+        ("cts", "seed_init", 7, False),     # and the seeds from the seed and repeat
     ])
     def test_fingerprint_covers_the_fields_a_method_reads(self, tmp_path, monkeypatch,
                                                           method, field, value, reruns):

@@ -5,9 +5,9 @@ import pytest
 
 import cts.tensor as T
 from cts.data import make_blobs
-from cts.models import (ARCHS, ModelError, ModelState, TrainConfig,
-                        build_model, evaluate, forward, load_checkpoint,
-                        save_checkpoint, train)
+from cts.models import (ARCHS, BatchNorm, ModelError, ModelState, TrainConfig,
+                        _flatten_specs, build_model, evaluate, forward,
+                        load_checkpoint, save_checkpoint, train)
 
 
 def small_data(image=False, dim=8, classes=2, n=400, seed=3):
@@ -51,6 +51,27 @@ class TestBuild:
 
     def test_archs_tuple(self):
         assert set(ARCHS) >= {"mlp-2x256", "lenet-conv4", "resnet-tiny"}
+
+
+class TestGraphSize:
+    def test_resnet_batch_norm_is_one_node(self, monkeypatch):
+        # one fused node per BatchNorm spec, and no composed chain beside it
+        model = build_model("resnet-tiny", 0, (1, 8, 8), 3)
+        x = np.random.default_rng(0).standard_normal((4, 1, 8, 8))
+        ops = []
+        real = T._make
+
+        def counting(data, op, parents, vjp):
+            ops.append(op)
+            return real(data, op, parents, vjp)
+
+        monkeypatch.setattr(T, "_make", counting)
+        overlay = T.Tensor(np.ones(model.d), requires_grad=True)
+        forward(model, x, np.array([0, 1, 2, 0]), overlay=overlay)
+        n_bn = sum(isinstance(s, BatchNorm) for s in _flatten_specs(model.specs))
+        assert n_bn == 7
+        assert ops.count("batch_norm") == n_bn
+        assert "pow" not in ops
 
 
 class TestOverlay:

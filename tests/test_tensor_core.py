@@ -258,6 +258,153 @@ class TestSecondOrder:
                                    h_fd, rtol=1e-6, atol=1e-7)
 
 
+def _im2col_loop(x, k, stride, padding):
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    cols = np.zeros((n * oh * ow, c * k * k))
+    for b in range(n):
+        for oy in range(oh):
+            for ox in range(ow):
+                for ch in range(c):
+                    for i in range(k):
+                        for j in range(k):
+                            cols[(b * oh + oy) * ow + ox, (ch * k + i) * k + j] = \
+                                xp[b, ch, oy * stride + i, ox * stride + j]
+    return cols
+
+
+def _col2im_loop(cols, x_shape, k, stride, padding):
+    # kernel offset outermost: each entry sums its terms in (i, j) order
+    n, c, h, w = x_shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    for i in range(k):
+        for j in range(k):
+            for b in range(n):
+                for oy in range(oh):
+                    for ox in range(ow):
+                        for ch in range(c):
+                            xp[b, ch, oy * stride + i, ox * stride + j] += \
+                                cols[(b * oh + oy) * ow + ox, (ch * k + i) * k + j]
+    return xp[:, :, padding:padding + h, padding:padding + w]
+
+
+class TestConvKernels:
+    SHAPE = (2, 3, 5, 7)  # non-square on purpose
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_kernels_match_plain_loops(self, stride, padding, k):
+        x = RNG.standard_normal(self.SHAPE)
+        cols = T._im2col(x, k, k, stride, padding)
+        np.testing.assert_array_equal(cols, _im2col_loop(x, k, stride, padding))
+        c = RNG.standard_normal(cols.shape)
+        back = T._col2im(c, x.shape, k, k, stride, padding)
+        np.testing.assert_array_equal(back, _col2im_loop(c, x.shape, k, stride, padding))
+        assert back.flags.c_contiguous
+        # the two are adjoint
+        np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 0)])
+    def test_conv2d_reuses_given_cols(self, stride, padding):
+        x = RNG.standard_normal(self.SHAPE)
+        w = RNG.standard_normal((4, 3, 3, 3))
+        cols = T._im2col(x, 3, 3, stride, padding)
+        np.testing.assert_array_equal(
+            T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, cols=cols).data,
+            T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data)
+
+
+BN_EPS = 1e-5
+
+
+def _bn_composed(h, gamma, beta, eps=BN_EPS):
+    """Batch norm as a chain of elementwise primitives: the reference the
+    fused primitive must reproduce."""
+    axes = (0, 2, 3)
+    c = h.shape[1]
+    mu = T.mean(h, axis=axes, keepdims=True)
+    xc = T.add(h, T.neg(T.broadcast_to(mu, h.shape)))
+    var = T.mean(T.mul(xc, xc), axis=axes, keepdims=True)
+    inv = T.power(T.add(var, eps), -0.5)
+    hn = T.mul(xc, T.broadcast_to(inv, h.shape))
+    return T.add(T.mul(hn, T.reshape(gamma, (1, c, 1, 1))), T.reshape(beta, (1, c, 1, 1)))
+
+
+class TestBatchNorm:
+    SHAPE = (4, 3, 5, 6)
+
+    def _inputs(self):
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal(self.SHAPE) * 2.0 + 0.5
+        return h, rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(self.SHAPE)
+
+    @staticmethod
+    def _grad_norm(bn, h, g, b, w):
+        """‖r ⊙ ∂ Σ w·bn(h)² / ∂(h, gamma, beta)‖, built in-graph. Without the
+        fixed weights r, the cotangent reaching the input gradient would be
+        that gradient itself, orthogonal to x̂ per channel, and the x̂ terms of
+        the second-order rule would go untested."""
+        out = bn(h, g, b)
+        gh, gg, gb = grad(T.sum_(T.mul(Tensor(w), T.mul(out, out))), [h, g, b],
+                          create_graph=True)
+        flat = T.concat([T.reshape(gh, (gh.size,)), gg, gb])
+        r = np.random.default_rng(8).uniform(0.5, 1.5, flat.size)
+        return T.l2_norm(T.mul(flat, Tensor(r)))
+
+    def test_forward_bit_equal_to_composed_chain(self):
+        h, g, b, _ = self._inputs()
+        fused = T.batch_norm(Tensor(h), Tensor(g), Tensor(b), BN_EPS)
+        np.testing.assert_array_equal(fused.data, _bn_composed(Tensor(h), Tensor(g), Tensor(b)).data)
+
+    def test_double_backward_fd(self):
+        h0, g0, b0, w = self._inputs()
+        nh = h0.size
+
+        def f(v):
+            h = Tensor(v[:nh].reshape(self.SHAPE), requires_grad=True)
+            g = Tensor(v[nh:], requires_grad=True)
+            return self._grad_norm(lambda *a: T.batch_norm(*a, BN_EPS),
+                                   h, g, Tensor(b0, requires_grad=True), w)
+
+        h = Tensor(h0, requires_grad=True)
+        g = Tensor(g0, requires_grad=True)
+        hh, hg = grad(self._grad_norm(lambda *a: T.batch_norm(*a, BN_EPS), h, g,
+                                      Tensor(b0, requires_grad=True), w), [h, g])
+        v0 = np.concatenate([h0.ravel(), g0])
+        h_fd = finite_diff_grad(lambda v: f(v).item(), v0, h=1e-5)
+        np.testing.assert_allclose(np.concatenate([hh.data.ravel(), hg.data]), h_fd,
+                                   rtol=1e-6, atol=1e-7)
+
+    def test_second_order_matches_composed_chain(self):
+        h0, g0, b0, w = self._inputs()
+        results = []
+        for bn in (lambda *a: T.batch_norm(*a, BN_EPS), _bn_composed):
+            leaves = [Tensor(v, requires_grad=True) for v in (h0, g0, b0)]
+            out = bn(*leaves)
+            first = grad(T.sum_(T.mul(Tensor(w), T.mul(out, out))), leaves)
+            second = grad(self._grad_norm(bn, *leaves, w), leaves)
+            results.append([t.data for t in first + second])
+        for fused, composed in zip(*results):
+            np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
+
+    def test_third_order_raises(self):
+        h0, g0, b0, w = self._inputs()
+        h, g, b = (Tensor(v, requires_grad=True) for v in (h0, g0, b0))
+        gn = self._grad_norm(lambda *a: T.batch_norm(*a, BN_EPS), h, g, b, w)
+        with pytest.raises(GraphError):
+            grad(gn, [h], create_graph=True)
+
+    def test_shape_checked(self):
+        with pytest.raises(ShapeError):
+            T.batch_norm(Tensor(np.ones(self.SHAPE)), Tensor(np.ones(2)), Tensor(np.ones(3)),
+                         BN_EPS)
+
+
 class TestGraphSemantics:
     def test_no_grad_blocks_tracking(self):
         leaf = Tensor(np.ones(3), requires_grad=True)
