@@ -40,15 +40,10 @@ class LtrConfig:
             raise BaselineError("need at least one round")
 
 
-def _loss_grads(model: ModelState, x, y) -> np.ndarray:
-    layers = obj.teacher_layer_grads(model, x, y)
-    return np.concatenate([g.reshape(-1) for g in layers])
-
-
 def snip_scores(model: ModelState, batch) -> np.ndarray:
     """|dL/dtheta * theta| over the maskable entries."""
     x, y = batch
-    g = _loss_grads(model, x, y)
+    g = np.concatenate([g.reshape(-1) for g in obj.teacher_layer_grads(model, x, y)])
     theta = model.maskable_vector()
     return np.abs(g * theta)
 
@@ -56,12 +51,10 @@ def snip_scores(model: ModelState, batch) -> np.ndarray:
 def grasp_scores(model: ModelState, batch) -> np.ndarray:
     """-(H g) * theta, with the Hessian-vector product Hg by double-backward."""
     x, y = batch
-    names = [n for n, _, _ in model.maskable_index]
-    leaves = {k: Tensor(v, requires_grad=(k in names)) for k, v in model.params.items()}
-    wrt = [leaves[n] for n in names]
-    grads = T.grad(forward(model, x, y, param_tensors=leaves).loss, wrt, create_graph=True)
+    leaves = obj.maskable_leaves(model)
+    grads = obj.loss_grads(model, x, y, param_tensors=leaves, create_graph=True)
     g_dot_g = sum(T.sum_(T.mul(g, g.detach())) for g in grads)
-    hg = np.concatenate([h.data.reshape(-1) for h in T.grad(g_dot_g, wrt)])
+    hg = np.concatenate([h.data.reshape(-1) for h in T.grad(g_dot_g, list(leaves.values()))])
     return -(hg * model.maskable_vector())
 
 
@@ -78,14 +71,9 @@ def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.nda
     specs = tuple(_strip_batchnorm(abs_model.specs))
     abs_model.specs = specs
     x = np.ones((1,) + abs_model.input_shape)
-    maskable_names = {n for n, _, _ in abs_model.maskable_index}
-    leaves = {k: Tensor(p, requires_grad=(k in maskable_names))
-              for k, p in abs_model.params.items()}
-    trace = forward(abs_model, x, param_tensors=leaves)
-    total = T.sum_(trace.logits)
-    wrt = [leaves[name] for name, _, _ in abs_model.maskable_index]
-    gmap = T.backward(total, wrt=wrt)
-    g = np.concatenate([gmap[id(t)].data.reshape(-1) for t in wrt])
+    leaves = obj.maskable_leaves(abs_model)
+    total = T.sum_(forward(abs_model, x, param_tensors=leaves).logits)
+    g = np.concatenate([h.data.reshape(-1) for h in T.grad(total, list(leaves.values()))])
     return g * abs_model.maskable_vector()
 
 
@@ -137,12 +125,9 @@ def noisy_overlay_scores(model: ModelState, batch, objective: str,
     s = 1.0 + sigma_noise * rng.standard_normal(model.d)
     if sigma_noise == 0.0:
         return np.zeros(model.d)
-    leaf = Tensor(s, requires_grad=True)
-    value = obj.evaluate(objective, model, x, y, overlay=leaf)
-    if not value.requires_grad:
-        return np.zeros(model.d)
-    (g,) = T.grad(value, [leaf])
-    return np.abs(g.data)
+    leaves = [Tensor(piece, requires_grad=True) for piece in model.layer_views(s)]
+    value = obj.evaluate(objective, model, x, y, overlay=leaves)
+    return np.abs(np.concatenate([g.data.reshape(-1) for g in T.grad(value, leaves)]))
 
 
 def prune_by_scores(scores: np.ndarray, kappa: float, layout=()) -> Ticket:

@@ -67,8 +67,13 @@ def _train_cfg(args) -> TrainConfig:
 
 
 def cmd_search(args) -> int:
+    try:
+        cfg, tcfg = _search_cfg(args), _train_cfg(args)
+    except (SearchError, ValueError) as e:
+        print(f"cts search: bad config: {e}", file=sys.stderr)
+        return 2
     data = load_dataset(args.dataset)
-    ticket, final, info = run_cts(_search_cfg(args), args.arch, data, _train_cfg(args))
+    ticket, final, info = run_cts(cfg, args.arch, data, tcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "ticket.json", ticket, arch=args.arch, kappa=args.kappa)
@@ -80,7 +85,8 @@ def cmd_search(args) -> int:
     (out / "search_trace.csv").write_text("\n".join(lines) + "\n")
     summary = {"accuracy": acc, "test_loss": loss, "density": ticket.density,
                "objective_at_draw": info["objective_at_draw"],
-               "expected_density_end": info["expected_density_end"]}
+               "expected_density_end": info["expected_density_end"],
+               "overshoot_violations": metrics.overshoot_violations}
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
     print(f"density={ticket.density:.6g} accuracy={acc:.4f} "
           f"objective_at_draw={info['objective_at_draw']:.6g}")
@@ -88,10 +94,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
-                           sparsities=(1.0 - args.kappa,), repeats=1, seed=args.seed,
-                           out_dir=args.out, search=_search_cfg(args),
-                           train=_train_cfg(args))
+    try:
+        cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
+                               sparsities=(1.0 - args.kappa,), repeats=1, seed=args.seed,
+                               out_dir=args.out, search=_search_cfg(args),
+                               train=_train_cfg(args))
+    except (ExperimentError, SearchError, ValueError) as e:
+        print(f"cts baseline: bad config: {e}", file=sys.stderr)
+        return 2
     record, ticket = run_cell(cfg, 1.0 - args.kappa, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown method '{self.method}'")
         if self.repeats < 1:
             raise ExperimentError("repeats must be >= 1")
+        if self.sanity and self.method != "cts":
+            raise ExperimentError("sanity mode applies to the cts method")
         for s in self.sparsities:
             if not 0 < s < 1:
                 raise ExperimentError(f"sparsities must lie in (0, 1), got {s}")
@@ -281,8 +283,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], dict[str
     (out / "cells").mkdir(parents=True, exist_ok=True)
     variants = [""]
     if cfg.sanity:
-        if cfg.method != "cts":
-            raise ExperimentError("sanity mode applies to the cts method")
         variants = ["", "shuffle", "invert"]
         if cfg.train.rewind_step == 0:
             variants.append("reinit")

@@ -3,7 +3,9 @@
 Every model is a flat list of layer specs. Dense and conv *weights* are
 maskable; biases and batch-norm affine parameters never are. The maskable
 entries of all layers concatenate (in layer order, C-order within a layer)
-into one flat vector of length d that masks and overlays index into.
+into one flat vector of length d: the layout of tickets, mask logits and
+scores. ``ModelState.layer_views`` cuts such a vector back into one piece per
+maskable weight, in that weight's shape.
 """
 
 from __future__ import annotations
@@ -137,9 +139,15 @@ class ModelState:
     def maskable_vector(self) -> np.ndarray:
         return np.concatenate([self.params[n].reshape(-1) for n, _, _ in self.maskable_index])
 
+    def layer_views(self, v: np.ndarray) -> list[np.ndarray]:
+        """One view of the length-d vector ``v`` per maskable weight, in
+        layer order and in that weight's shape."""
+        return [v[off:off + sz].reshape(self.params[name].shape)
+                for name, off, sz in self.maskable_index]
+
     def set_maskable_vector(self, v: np.ndarray) -> None:
-        for name, off, sz in self.maskable_index:
-            self.params[name] = v[off:off + sz].reshape(self.params[name].shape).copy()
+        for (name, _, _), w in zip(self.maskable_index, self.layer_views(v)):
+            self.params[name] = w.copy()
 
     def copy(self) -> "ModelState":
         return ModelState(self.arch, self.seed, self.input_shape, self.num_classes,
@@ -155,9 +163,8 @@ class ModelState:
         if mask.size != self.d:
             raise ModelError(f"mask length {mask.size} != d={self.d}")
         out = self.copy()
-        v = out.maskable_vector()
-        v[mask == 0] = 0.0
-        out.set_maskable_vector(v)
+        for (name, _, _), m in zip(self.maskable_index, self.layer_views(mask)):
+            out.params[name][m == 0] = 0.0
         return out
 
     def param_names(self) -> list[str]:
@@ -267,48 +274,32 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
-            overlay=None, capture_features: bool = False,
-            param_tensors: dict[str, Tensor] | None = None,
-            effective_out: dict[str, Tensor] | None = None) -> ForwardTrace:
-    """Run the network; maskable weights are multiplied by ``overlay``.
+            capture_features: bool = False,
+            param_tensors: dict[str, Tensor] | None = None) -> ForwardTrace:
+    """Run the network on ``x``; the loss is computed when ``y`` is given.
 
-    ``overlay`` is a vector of length d, numpy or Tensor; the search passes
-    its soft mask as a tracked Tensor. Hard masks go through
-    ``ModelState.masked`` instead. Each batch norm is one
+    ``param_tensors`` maps any subset of parameter names to the Tensors to
+    use in their place, such as tracked leaves or a soft-masked weight;
+    every other parameter is read from ``model.params``. Hard masks go
+    through ``ModelState.masked`` instead. Each batch norm is one
     ``tensor.batch_norm`` node with current-batch statistics. Features are
     the post-relu activations, logits excluded.
     """
-    if overlay is not None:
-        olen = overlay.size if isinstance(overlay, Tensor) else np.asarray(overlay).size
-        if olen != model.d:
-            raise ModelError(f"overlay length {olen} != d={model.d}")
-    if param_tensors is None:
-        param_tensors = {k: Tensor(v) for k, v in model.params.items()}
-    mask_off = {name: (off, sz) for name, off, sz in model.maskable_index}
-
-    def weight(name: str) -> Tensor:
-        w = param_tensors[name]
-        if overlay is not None and name in mask_off:
-            off, sz = mask_off[name]
-            w = T.mul(w, T.reshape(T.narrow(overlay, slice(off, off + sz)), w.shape))
-        if effective_out is not None:
-            effective_out[name] = w
-        return w
+    params = {k: Tensor(v) for k, v in model.params.items()}
+    params.update(param_tensors or {})
 
     features: list[Tensor] = []
 
     def run(specs, h: Tensor) -> Tensor:
         for s in specs:
             if isinstance(s, Dense):
-                b = param_tensors[s.name + ".b"]
-                h = T.add(T.matmul(h, weight(s.name + ".w")), b)
+                h = T.add(T.matmul(h, params[s.name + ".w"]), params[s.name + ".b"])
             elif isinstance(s, Conv):
-                b = param_tensors[s.name + ".b"]
-                h = T.conv2d(h, weight(s.name + ".w"), stride=s.stride, padding=s.padding)
+                b = params[s.name + ".b"]
+                h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding)
                 h = T.add(h, T.reshape(b, (1, b.size, 1, 1)))
             elif isinstance(s, BatchNorm):
-                h = T.batch_norm(h, param_tensors[s.name + ".g"],
-                                 param_tensors[s.name + ".b"], BN_EPS)
+                h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS)
             elif isinstance(s, Relu):
                 h = T.relu(h)
                 if capture_features:
@@ -364,13 +355,8 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
     stop = cfg.steps if stop_step is None else stop_step
     names = [n for n in out.params]
     momentum = {n: np.zeros_like(out.params[n]) for n in names}
-    mask_off = {name: (off, sz) for name, off, sz in out.maskable_index}
-
-    def layer_mask(name):
-        if mask is None or name not in mask_off:
-            return None
-        off, sz = mask_off[name]
-        return mask[off:off + sz].reshape(out.params[name].shape)
+    layer_masks = {} if mask is None else dict(
+        zip([name for name, _, _ in out.maskable_index], out.layer_views(mask)))
 
     bad_steps = 0
     for step in range(start_step, stop):
@@ -388,7 +374,7 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
         lr = cfg.lr_at(step)
         for n in names:
             g = grads[id(leaves[n])].data.copy()
-            lm = layer_mask(n)
+            lm = layer_masks.get(n)
             if cfg.weight_decay and _decayable(n):
                 decay = cfg.weight_decay * out.params[n]
                 if lm is not None:

@@ -4,9 +4,10 @@ Tags: loss, dloss, gradnorm, kl, feature, grad. The teacher pass is always
 evaluated outside the gradient graph. The two gradient-based objectives
 (gradnorm, grad) are functions of the student's loss gradient; that gradient
 is built in-graph, so the search differentiates it again (double-backward)
-on every architecture. The graph is differentiated w.r.t. the soft mask, and
-the chain to the mask logits is applied analytically. A hard mask is scored
-by the same code on the masked copy of the weights (``hard_value``).
+on every architecture. The graph is differentiated w.r.t. the soft mask, one
+leaf per maskable layer, and the chain to the mask logits is applied
+analytically. A hard mask is scored by the same code on the masked copy of
+the weights (``hard_value``).
 """
 
 from __future__ import annotations
@@ -123,34 +124,50 @@ def _teacher_trace(model: ModelState, x, y, capture: bool) -> ForwardTrace:
         return forward(model, x, y, capture_features=capture)
 
 
+def maskable_leaves(model: ModelState) -> dict[str, Tensor]:
+    """A fresh tracked leaf on each maskable weight, by parameter name."""
+    return {name: Tensor(model.params[name], requires_grad=True)
+            for name, _, _ in model.maskable_index}
+
+
+def loss_grads(model: ModelState, x, y, param_tensors: dict[str, Tensor] | None = None,
+               create_graph: bool = False) -> list[Tensor]:
+    """Loss gradients w.r.t. the tracked maskable weights ``param_tensors``
+    (default: ``maskable_leaves``), one per layer in layer order; with
+    ``create_graph`` they can be differentiated again."""
+    param_tensors = maskable_leaves(model) if param_tensors is None else param_tensors
+    trace = forward(model, x, y, param_tensors=param_tensors)
+    wrt = [param_tensors[name] for name, _, _ in model.maskable_index]
+    return T.grad(trace.loss, wrt, create_graph=create_graph)
+
+
 def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
-    """Per-layer loss gradients w.r.t. the maskable weights."""
-    names = [name for name, _, _ in model.maskable_index]
-    leaves = {k: Tensor(v, requires_grad=k in names) for k, v in model.params.items()}
-    trace = forward(model, x, y, param_tensors=leaves)
-    wrt = [leaves[name] for name in names]
-    gmap = T.backward(trace.loss, wrt=wrt)
-    return [gmap[id(t)].data for t in wrt]
+    """Per-layer loss gradients w.r.t. the maskable weights, as arrays."""
+    return [g.data for g in loss_grads(model, x, y)]
 
 
 # -- unified evaluation --------------------------------------------------------
 
-def evaluate(tag: str, model: ModelState, x, y, overlay=None,
+def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = None,
              dense: ModelState | None = None) -> Tensor:
     """Objective value of ``model`` under ``overlay``, against the teacher
     ``dense`` (default: ``model`` itself), as a (possibly tracked) scalar.
 
-    ``overlay`` is a tracked soft-mask Tensor, a fixed vector, or None; a
-    hard mask is applied beforehand by ``ModelState.masked``. gradnorm and
-    grad build the student gradient by an in-graph backward under a tracked
-    overlay and take it from ``teacher_layer_grads`` under None.
+    ``overlay`` holds one Tensor per maskable layer in the weight's shape
+    (``ModelState.layer_views`` of a soft mask); ``forward`` gets each weight
+    times its piece through ``param_tensors``. A hard mask is applied
+    beforehand by ``ModelState.masked``. gradnorm and grad take the student
+    gradient from ``loss_grads``, in-graph under a tracked overlay.
     """
     kind = get_kind(tag)
     dense = model if dense is None else dense
     capture = tag == "feature"
+    weights = {} if overlay is None else {
+        name: T.mul(Tensor(model.params[name]), piece)
+        for (name, _, _), piece in zip(model.maskable_index, overlay, strict=True)}
     if not kind.needs_student_grads:
         teacher = _teacher_trace(dense, x, y, capture) if kind.needs_teacher else None
-        student = forward(model, x, y, overlay=overlay, capture_features=capture)
+        student = forward(model, x, y, capture_features=capture, param_tensors=weights)
         if tag == "loss":
             return task_loss(student)
         if tag == "dloss":
@@ -161,12 +178,8 @@ def evaluate(tag: str, model: ModelState, x, y, overlay=None,
 
     if overlay is None:
         grads = [Tensor(g) for g in teacher_layer_grads(model, x, y)]
-    elif isinstance(overlay, Tensor) and overlay.requires_grad:
-        effective: dict[str, Tensor] = {}
-        student = forward(model, x, y, overlay=overlay, capture_features=False,
-                          effective_out=effective)
-        eff_list = [effective[name] for name, _, _ in model.maskable_index]
-        grads = T.grad(student.loss, eff_list, create_graph=True)
+    elif all(w.requires_grad for w in weights.values()):
+        grads = loss_grads(model, x, y, param_tensors=weights, create_graph=True)
     else:
         raise ObjectiveError(f"'{tag}' needs a tracked soft-mask overlay; "
                              "use hard_value for a hard mask")
@@ -181,14 +194,16 @@ def value_and_alpha_grad(tag: str, model: ModelState, x, y,
     """Objective value plus its gradient w.r.t. the mask logits.
 
     One soft-mask sample s = sigmoid((logits + eps) / tau) with fixed noise
-    eps. The graph starts at s; the chain ds/dlogits = s (1 - s) / tau is
-    applied here in closed form.
+    eps. The graph starts at one leaf per layer, that layer's piece of s;
+    the chain ds/dlogits = s (1 - s) / tau is applied here in closed form.
     """
     s = soft_mask(logits, eps, tau)
-    leaf = Tensor(s, requires_grad=True)
-    r = evaluate(tag, model, x, y, overlay=leaf)
-    (g,) = T.grad(r, [leaf])
-    return r.item(), g.data * (s * (1.0 - s)) * (1.0 / tau)
+    leaves = [Tensor(piece, requires_grad=True) for piece in model.layer_views(s)]
+    r = evaluate(tag, model, x, y, overlay=leaves)
+    # + 0.0 turns the -0.0 of a zero gradient at a negative weight into +0.0,
+    # so that every zero entry of the result has the same sign
+    g = np.concatenate([gi.data.reshape(-1) for gi in T.grad(r, leaves)]) + 0.0
+    return r.item(), g * (s * (1.0 - s)) * (1.0 / tau)
 
 
 def hard_value(tag: str, model: ModelState, x, y, mask_vec: np.ndarray) -> float:

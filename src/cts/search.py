@@ -39,13 +39,13 @@ class SearchConfig:
     seed_train: int = 2
 
     def __post_init__(self):
-        if not 0 < self.kappa <= 1:
-            raise SearchError("kappa must be in (0, 1]")
         if self.steps <= 0:
             raise SearchError("search step count must be positive")
-        try:
+        try:  # the rules the search applies when it starts, checked up front
             obj.get_kind(self.objective)
-        except obj.ObjectiveError as e:
+            mk.init_distribution(1, self.kappa, self.tau)
+            ctl.ControllerState(mode=self.controller, kappa=self.kappa, eta=self.eta)
+        except (obj.ObjectiveError, mk.MaskError, ctl.ControllerError) as e:
             raise SearchError(str(e)) from e
 
     @property

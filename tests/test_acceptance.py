@@ -202,7 +202,7 @@ def test_criterion_6_objective_zero_points():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((16, 4))
     y = rng.integers(0, 2, 16)
-    ones = Tensor(np.ones(model.d), requires_grad=True)
+    ones = [Tensor(w, requires_grad=True) for w in model.layer_views(np.ones(model.d))]
     vals = {tag: obj.evaluate(tag, model, x, y, overlay=ones).item()
             for tag in ("dloss", "kl", "feature", "grad")}
     ok = (vals["dloss"] == 0.0 and vals["kl"] == 0.0 and

@@ -444,6 +444,14 @@ class TestCli:
         assert (tmp_path / "search_trace.csv").exists()
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0 <= summary["accuracy"] <= 1
+        # GradBalance's bound is 1.1 kappa; a violation is a step above 1.1 times
+        # that bound after the expected density first came down through it
+        rows = (tmp_path / "search_trace.csv").read_text().splitlines()[1:]
+        eds = [float(row.split(",")[2]) for row in rows]
+        bound = 1.1 * 0.5
+        crossed = [i for i in range(1, len(eds)) if eds[i - 1] > bound >= eds[i]]
+        expected = sum(ed > 1.1 * bound for ed in eds[crossed[0]:]) if crossed else 0
+        assert summary["overshoot_violations"] == expected
 
     def test_baseline_command(self, tmp_path):
         rc = cli_main(["baseline", "--method", "magnitude", "--dataset", DATASET,
@@ -479,10 +487,23 @@ class TestCli:
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
-        ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
-                       "[search]\nobjective = entropy\n")
         out = tmp_path / "out"
-        assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
-        assert not (out / "cells").exists()
-        err = capsys.readouterr().err.strip()
-        assert "entropy" in err and len(err.splitlines()) == 1
+        for section, word in [("[search]\nobjective = entropy", "entropy"),
+                              ("[search]\ncontroller = lagrnage", "lagrnage"),
+                              ("[search]\neta = 1.5", "eta"),
+                              ("[search]\ntau = 0", "tau"),
+                              ("[sweep]\nmethod = snip\nsanity = true", "sanity")]:
+            ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n{section}\n")
+            assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+            assert not (out / "cells").exists()
+            err = capsys.readouterr().err.strip()
+            assert word in err and len(err.splitlines()) == 1
+        for argv, word in [(["sweep", "--method", "snip", "--sanity"], "sanity"),
+                           (["search", "--eta", "1.5"], "eta"),
+                           (["search", "--tau", "0"], "tau"),
+                           (["search", "--controller", "gradbalance", "--kappa", "0"], "kappa"),
+                           (["baseline", "--method", "snip", "--kappa", "1.5"], "kappa")]:
+            assert cli_main(argv + ["--out", str(out)]) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err.strip()
+            assert word in err and len(err.splitlines()) == 1

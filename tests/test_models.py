@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cts.objectives as obj
 import cts.tensor as T
 from cts.data import make_blobs
 from cts.models import (ARCHS, BatchNorm, ModelError, ModelState, TrainConfig,
@@ -66,35 +67,64 @@ class TestGraphSize:
             return real(data, op, parents, vjp)
 
         monkeypatch.setattr(T, "_make", counting)
-        overlay = T.Tensor(np.ones(model.d), requires_grad=True)
-        forward(model, x, np.array([0, 1, 2, 0]), overlay=overlay)
+        leaves = {n: T.Tensor(model.params[n], requires_grad=True)
+                  for n, _, _ in model.maskable_index}
+        forward(model, x, np.array([0, 1, 2, 0]), param_tensors=leaves)
         n_bn = sum(isinstance(s, BatchNorm) for s in _flatten_specs(model.specs))
         assert n_bn == 7
         assert ops.count("batch_norm") == n_bn
         assert "pow" not in ops
 
 
+class TestLayerViews:
+    def test_views_cut_a_vector_by_layer(self):
+        model = build_model("lenet-conv4", 0)
+        v = np.arange(model.d, dtype=np.float64)
+        views = model.layer_views(v)
+        assert [w.shape for w in views] == [model.params[n].shape
+                                            for n, _, _ in model.maskable_index]
+        np.testing.assert_array_equal(np.concatenate([w.reshape(-1) for w in views]), v)
+        assert all(np.shares_memory(w, v) for w in views)
+
+    def test_set_maskable_vector_copies(self):
+        model = build_model("tiny-mlp", 0)
+        v = np.arange(model.d, dtype=np.float64)
+        model.set_maskable_vector(v)
+        v[:] = -1.0
+        np.testing.assert_array_equal(model.maskable_vector(), np.arange(model.d))
+
+
 class TestOverlay:
+    """A soft mask enters ``forward`` as per-layer products in ``param_tensors``."""
+
     def setup_method(self):
         self.model = build_model("tiny-mlp", 0, (4,), 2)
         rng = np.random.default_rng(1)
         self.x = rng.standard_normal((8, 4))
         self.y = rng.integers(0, 2, 8)
 
+    def _overlaid(self, pieces):
+        return {name: T.mul(T.Tensor(self.model.params[name]), piece)
+                for (name, _, _), piece in zip(self.model.maskable_index, pieces)}
+
+    def _forward(self, overlay):
+        pieces = self.model.layer_views(overlay)
+        return forward(self.model, self.x, self.y, param_tensors=self._overlaid(pieces))
+
     def test_identity_overlay_is_noop(self):
         base = forward(self.model, self.x, self.y)
-        ones = forward(self.model, self.x, self.y, overlay=np.ones(self.model.d))
+        ones = self._forward(np.ones(self.model.d))
         np.testing.assert_array_equal(base.logits.data, ones.logits.data)
 
     def test_zero_overlay_uniform_logits(self):
-        trace = forward(self.model, self.x, self.y, overlay=np.zeros(self.model.d))
+        trace = self._forward(np.zeros(self.model.d))
         # all weights zeroed: logits reduce to the (zero) output bias
         np.testing.assert_array_equal(trace.logits.data, np.zeros_like(trace.logits.data))
 
     def test_overlay_equals_premultiplied_weights(self):
         rng = np.random.default_rng(2)
         overlay = rng.random(self.model.d)
-        via_overlay = forward(self.model, self.x, self.y, overlay=overlay)
+        via_overlay = self._forward(overlay)
         pre = self.model.copy()
         pre.set_maskable_vector(pre.maskable_vector() * overlay)
         direct = forward(pre, self.x, self.y)
@@ -102,15 +132,27 @@ class TestOverlay:
                                    rtol=1e-12, atol=1e-12)
 
     def test_overlay_length_checked(self):
-        with pytest.raises(ModelError):
-            forward(self.model, self.x, self.y, overlay=np.ones(self.model.d + 1))
+        # one piece per maskable layer, no more and no fewer
+        pieces = [T.Tensor(w) for w in self.model.layer_views(np.ones(self.model.d))]
+        for bad in (pieces[:-1], pieces + pieces[:1]):
+            with pytest.raises(ValueError):
+                obj.evaluate("loss", self.model, self.x, self.y, overlay=bad)
 
     def test_soft_overlay_gradient_flows(self):
-        leaf = T.Tensor(np.full(self.model.d, 0.7), requires_grad=True)
-        trace = forward(self.model, self.x, self.y, overlay=leaf)
-        (g,) = T.grad(trace.loss, [leaf])
-        assert g.data.shape == (self.model.d,)
-        assert np.any(g.data != 0)
+        leaves = [T.Tensor(w, requires_grad=True)
+                  for w in self.model.layer_views(np.full(self.model.d, 0.7))]
+        trace = forward(self.model, self.x, self.y, param_tensors=self._overlaid(leaves))
+        grads = T.grad(trace.loss, leaves)
+        assert [g.shape for g in grads] == [leaf.shape for leaf in leaves]
+        assert all(np.any(g.data != 0) for g in grads)
+
+    def test_param_tensors_subset_reads_rest_from_model(self):
+        w = self.model.params["fc2.w"] * 3.0
+        partial = forward(self.model, self.x, self.y, param_tensors={"fc2.w": T.Tensor(w)})
+        pre = self.model.copy()
+        pre.params["fc2.w"] = w
+        np.testing.assert_array_equal(partial.logits.data,
+                                      forward(pre, self.x, self.y).logits.data)
 
     def test_features_captured_per_relu(self):
         trace = forward(self.model, self.x, self.y, capture_features=True)

@@ -137,7 +137,8 @@ class TestIdentityOverlayValues:
     @pytest.mark.parametrize("tag", ["gradnorm", "grad"])
     def test_hard_mask_goes_through_hard_value(self, tag):
         with pytest.raises(ObjectiveError, match="hard_value"):
-            obj.evaluate(tag, self.model, self.x, self.y, overlay=np.ones(self.model.d))
+            ones = [Tensor(w) for w in self.model.layer_views(np.ones(self.model.d))]
+            obj.evaluate(tag, self.model, self.x, self.y, overlay=ones)
 
 
 class TestAlphaGradients:
@@ -182,10 +183,13 @@ class TestAlphaGradients:
 
 
 def _tracked_chain(tag, model, x, y, logits, eps, tau):
-    """Reference: the logits as leaf, with the soft mask built by tracked ops."""
+    """Reference: the logits as leaf, with the soft mask built by tracked ops
+    and cut into per-layer pieces in the graph."""
     leaf = Tensor(logits, requires_grad=True)
     s = T.sigmoid(T.mul(T.add(leaf, Tensor(eps)), 1.0 / tau))
-    value = obj.evaluate(tag, model, x, y, overlay=s)
+    pieces = [T.reshape(T.narrow(s, slice(off, off + sz)), model.params[name].shape)
+              for name, off, sz in model.maskable_index]
+    value = obj.evaluate(tag, model, x, y, overlay=pieces)
     (g,) = T.grad(value, [leaf])
     return value.item(), g.data
 
@@ -228,6 +232,33 @@ class TestAnalyticMaskChain:
         self._check("resnet-tiny", (1, 8, 8), tag)
 
 
+class TestMaskLeaves:
+    """The soft mask is one leaf per layer: no node cuts or pastes a d-vector."""
+
+    @pytest.mark.parametrize("tag", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("arch,shape", [("tiny-mlp", (4,)), ("mlp-2x256", (20,)),
+                                            ("lenet-conv4", (1, 8, 8)),
+                                            ("resnet-tiny", (1, 8, 8))])
+    def test_no_embed_or_slice_node(self, arch, shape, tag, monkeypatch):
+        model = build_model(arch, 0, shape, 3)
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((4,) + shape), rng.integers(0, 3, 4)
+        ops = []
+        real = T._make
+
+        def counting(data, op, parents, vjp):
+            ops.append(op)
+            return real(data, op, parents, vjp)
+
+        monkeypatch.setattr(T, "_make", counting)
+        value_and_alpha_grad(tag, model, x, y, rng.standard_normal(model.d),
+                             sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
+        assert "embed" not in ops
+        # gradnorm concatenates the layer gradients; its adjoint slices once per layer
+        n_slices = len(model.maskable_index) if tag == "gradnorm" else 0
+        assert ops.count("slice") == n_slices
+
+
 class TestHardMaskPath:
     """A hard mask is a masked copy of the weights, scored by evaluate."""
 
@@ -241,7 +272,8 @@ class TestHardMaskPath:
         x = rng.standard_normal((8,) + shape)
         y = rng.integers(0, 3, 8)
         mask = (rng.random(model.d) < 0.5).astype(np.float64)
-        tracked = obj.evaluate(tag, model, x, y, overlay=Tensor(mask, requires_grad=True))
+        leaves = [Tensor(w, requires_grad=True) for w in model.layer_views(mask)]
+        tracked = obj.evaluate(tag, model, x, y, overlay=leaves)
         assert hard_value(tag, model, x, y, mask) == tracked.item()
 
     def test_grad_runs_no_unread_teacher_forward(self, monkeypatch):
@@ -252,11 +284,15 @@ class TestHardMaskPath:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("overlay") is not None)
+            # the student's weights are the overlaid products, not the model's
+            given = kwargs.get("param_tensors") or {}
+            calls.append(any(not np.array_equal(t.data, model.params[k])
+                             for k, t in given.items()))
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(obj, "forward", counting)
-        obj.evaluate("grad", model, x, y, overlay=Tensor(np.full(model.d, 0.5), requires_grad=True))
+        halves = [Tensor(w, requires_grad=True) for w in model.layer_views(np.full(model.d, 0.5))]
+        obj.evaluate("grad", model, x, y, overlay=halves)
         assert len(calls) == 2 and sum(calls) == 1
 
     def test_zero_gradient_norm_has_zero_gradient(self):
