@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import mask as mk
 from . import objectives as obj
-from .data import load_dataset
+from .data import DataError, load_dataset
 from .experiment import (METHODS, ExperimentConfig, ExperimentError, load_config,
                          report, run_cell, run_experiment)
-from .models import TrainConfig, build_model, evaluate, train
-from .oracle import brute_force_oracle
+from .models import ARCHS, TrainConfig, build_model, evaluate, train
+from .oracle import OracleError, brute_force_oracle
 from .search import SearchConfig, SearchError, run_cts
 
 
@@ -28,7 +28,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--dataset", default="blobs:classes=4,dim=20,n=4000,seed=7")
-    p.add_argument("--arch", default="mlp-2x256")
+    p.add_argument("--arch", default="mlp-2x256", choices=ARCHS)
 
 
 def _add_kappa(p: argparse.ArgumentParser) -> None:
@@ -69,10 +69,10 @@ def _train_cfg(args) -> TrainConfig:
 def cmd_search(args) -> int:
     try:
         cfg, tcfg = _search_cfg(args), _train_cfg(args)
-    except (SearchError, ValueError) as e:
+        data = load_dataset(args.dataset)
+    except (SearchError, DataError, ValueError) as e:
         print(f"cts search: bad config: {e}", file=sys.stderr)
         return 2
-    data = load_dataset(args.dataset)
     ticket, final, info = run_cts(cfg, args.arch, data, tcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,7 +102,11 @@ def cmd_baseline(args) -> int:
     except (ExperimentError, SearchError, ValueError) as e:
         print(f"cts baseline: bad config: {e}", file=sys.stderr)
         return 2
-    record, ticket = run_cell(cfg, 1.0 - args.kappa, 0)
+    try:
+        record, ticket = run_cell(cfg, 1.0 - args.kappa, 0)
+    except DataError as e:
+        print(f"cts baseline: bad config: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "ticket.json", ticket, arch=args.arch, kappa=args.kappa,
@@ -138,11 +142,15 @@ def cmd_sanity(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    data = load_dataset(args.dataset)
-    model = build_model(args.arch, args.seed, data.input_shape, data.num_classes)
-    model = train(model, data, _train_cfg(args), stop_step=args.rewind_step)
-    batch = data.eval_batch(seed=args.seed)
-    best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
+    try:
+        data = load_dataset(args.dataset)
+        model = build_model(args.arch, args.seed, data.input_shape, data.num_classes)
+        model = train(model, data, _train_cfg(args), stop_step=args.rewind_step)
+        batch = data.eval_batch(seed=args.seed)
+        best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
+    except (DataError, mk.MaskError, OracleError) as e:
+        print(f"cts oracle: bad config: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "oracle_best.json", best, arch=args.arch, kappa=args.kappa)
@@ -155,7 +163,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = report(args.csvs)
+    try:
+        rows = report(args.csvs)
+    except (OSError, ExperimentError) as e:
+        print(f"cts report: {e}", file=sys.stderr)
+        return 2
     print("method,sparsity,mean_accuracy,std_accuracy,n")
     for method, sparsity, mean, std, n in rows:
         print(f"{method},{sparsity:.6g},{mean:.6g},{std:.6g},{n}")

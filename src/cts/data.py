@@ -118,24 +118,42 @@ def load_idx(images_path, labels_path, test_fraction: float = 0.2,
                    x.shape[1:], classes)
 
 
-def load_dataset(spec: str) -> Dataset:
-    """Parse a dataset spec string.
+# The keys each dataset kind reads, with the type of each value.
+_SPEC_KEYS = {
+    "blobs": {"classes": int, "dim": int, "n": int, "seed": int, "separation": float,
+              "image": lambda v: bool(int(v))},
+    "idx": {"images": str, "labels": str, "seed": int},
+}
+
+
+def parse_dataset_spec(spec: str) -> tuple[str, dict]:
+    """The kind of a dataset spec string and its keyword arguments.
 
     Forms: ``blobs:classes=4,dim=20,n=4000,seed=7,separation=10,image=0``
-    or ``idx:images=<path>,labels=<path>``.
+    or ``idx:images=<path>,labels=<path>``. Builds nothing; raises DataError
+    for an unknown kind, a key the kind does not read, or a bad value.
     """
-    if ":" in spec:
-        kind, rest = spec.split(":", 1)
-    else:
-        kind, rest = spec, ""
-    kv = dict(item.split("=", 1) for item in rest.split(",") if item)
+    kind, _, rest = spec.partition(":")
+    if kind not in _SPEC_KEYS:
+        raise DataError(f"unknown dataset kind '{kind}'")
+    types = _SPEC_KEYS[kind]
+    kwargs = {}
+    for item in filter(None, rest.split(",")):
+        key, _, value = item.partition("=")
+        if key not in types:
+            raise DataError(f"{kind} dataset has no key '{key}' (keys: {', '.join(types)})")
+        try:
+            kwargs[key] = types[key](value)
+        except ValueError:
+            raise DataError(f"{kind} dataset key '{key}': bad value {value!r}") from None
+    if kind == "idx" and not {"images", "labels"} <= kwargs.keys():
+        raise DataError("idx dataset needs images=<path>,labels=<path>")
+    return kind, kwargs
+
+
+def load_dataset(spec: str) -> Dataset:
+    """Build the dataset a spec string names (see parse_dataset_spec)."""
+    kind, kwargs = parse_dataset_spec(spec)
     if kind == "blobs":
-        return make_blobs(classes=int(kv.get("classes", 4)), dim=int(kv.get("dim", 20)),
-                          n=int(kv.get("n", 4000)), seed=int(kv.get("seed", 0)),
-                          separation=float(kv.get("separation", 10.0)),
-                          image=bool(int(kv.get("image", 0))))
-    if kind == "idx":
-        if "images" not in kv or "labels" not in kv:
-            raise DataError("idx dataset needs images=<path>,labels=<path>")
-        return load_idx(kv["images"], kv["labels"], seed=int(kv.get("seed", 0)))
-    raise DataError(f"unknown dataset kind '{kind}'")
+        return make_blobs(**kwargs)
+    return load_idx(kwargs.pop("images"), kwargs.pop("labels"), **kwargs)

@@ -27,8 +27,8 @@ import numpy as np
 from . import baselines as bl
 from . import mask as mk
 from . import objectives as obj
-from .data import Dataset, load_dataset
-from .models import TrainConfig, build_model, evaluate, train
+from .data import DataError, Dataset, load_dataset, parse_dataset_spec
+from .models import ARCHS, TrainConfig, build_model, evaluate, train
 from .search import SearchConfig, run_cts
 
 CSV_SCHEMA = 1
@@ -55,6 +55,12 @@ class ExperimentConfig:
     ltr_prune_fraction: float = 0.20
 
     def __post_init__(self):
+        try:
+            parse_dataset_spec(self.dataset)
+        except DataError as e:
+            raise ExperimentError(str(e)) from e
+        if self.arch not in ARCHS:
+            raise ExperimentError(f"unknown architecture '{self.arch}'")
         if self.method not in METHODS:
             raise ExperimentError(f"unknown method '{self.method}'")
         if self.repeats < 1:
@@ -343,11 +349,14 @@ def report(csv_paths: list) -> list[tuple[str, float, float, float, int]]:
     accuracy over seeds. Returns [(method, sparsity, mean, std, n)]."""
     groups: dict[tuple[str, float], list[float]] = {}
     for path in csv_paths:
-        for line in Path(path).read_text().splitlines():
+        for i, line in enumerate(Path(path).read_text().splitlines(), 1):
             if line.startswith("#") or line.startswith("method,"):
                 continue
             parts = line.split(",")
-            method, sparsity, acc = parts[0], float(parts[1]), float(parts[3])
+            try:
+                method, sparsity, acc = parts[0], float(parts[1]), float(parts[3])
+            except (IndexError, ValueError):
+                raise ExperimentError(f"{path}:{i}: not a metrics row") from None
             groups.setdefault((method, sparsity), []).append(acc)
     rows = []
     for (method, sparsity), accs in sorted(groups.items()):

@@ -10,12 +10,20 @@ of a gradient, and for Hessian-vector products). Convolution's two adjoints,
 whose own vjps are convolutions and each other. Batch norm's input adjoint,
 ``batch_norm_input_grad``, is a tracked primitive too; its own adjoint in the
 input is the one rule that is a plain numpy kernel, so a third derivative
-through batch norm raises GraphError.
+through batch norm raises GraphError. Average pooling is one node too:
+``avg_pool2d`` and ``avg_pool2d_grad`` are each other's adjoints, and the
+forward adds each block in the order of the reshape-and-sum it replaces.
+
+Every node's output is checked to be finite (NonFiniteError names the op),
+unless ``finite_checks(False)``. One call decides it, the sum of squares,
+unless that sum overflows; the check stays per node, because a later op can
+absorb a non-finite value (relu(-inf) = 0).
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -166,8 +174,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _all_finite(data: np.ndarray) -> bool:
+    """Whether every entry is finite, decided by one call unless the sum of
+    squares overflows (|x| ≳ 1e154; 1e19 in float32): a NaN or ±inf entry
+    makes that sum NaN or +inf, and squares cannot cancel."""
+    return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
+
+
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if _finite_checks and not np.all(np.isfinite(data)):
+    if _finite_checks and not _all_finite(data):
         raise NonFiniteError(op)
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     if not requires:
@@ -271,13 +286,10 @@ def sigmoid(a) -> Tensor:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Untracked elementwise 1 / (1 + exp(-x)); never overflows exp."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Untracked elementwise 1 / (1 + exp(-x)); never overflows exp:
+    with e = exp(-|x|), it is 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def exp(a) -> Tensor:
@@ -600,14 +612,44 @@ def _bn_input_grad_h_adjoint(u, a, xhat, inv, gam, m):
     return gam * inv * inv * (xhat * ((3.0 * p * m - c) / n) - m * uc - (p / n) * ac)
 
 
-def avg_pool2d(x, k: int) -> Tensor:
-    """k-by-k average pooling; spatial dims must divide k."""
-    x = _as_tensor(x)
+# -- average pooling ----------------------------------------------------------
+
+def _block_sum(x: np.ndarray, k: int) -> np.ndarray:
+    """Sum of each k×k block of NCHW ``x``, in the order of numpy's
+    ``x.reshape(n, c, h/k, k, w/k, k).sum(axis=(3, 5))``: the slabs of each
+    window row left to right, then the rows, from +0.0. With one window per
+    row (w == k) numpy adds a block's k² entries as one run, so that case is
+    left to numpy."""
     n, c, h, w = x.shape
-    if h % k or w % k:
+    if w == k:
+        return x.reshape(n, c, h // k, k, 1, k).sum(axis=(3, 5))
+    total = None
+    for i in range(k):
+        row = x[:, :, i::k, 0::k]
+        for j in range(1, k):
+            row = row + x[:, :, i::k, j::k]
+        total = row if total is None else total + row
+    return total + 0.0
+
+
+def avg_pool2d(x, k: int) -> Tensor:
+    """k-by-k average pooling; spatial dims must divide k. Its adjoint is
+    ``avg_pool2d_grad``, whose own adjoint is this op."""
+    x = _as_tensor(x)
+    if x.data.ndim != 4 or x.shape[2] % k or x.shape[3] % k:
         raise ShapeError("avg_pool2d", x.shape, (k, k))
-    r = reshape(x, (n, c, h // k, k, w // k, k))
-    return mean(r, axis=(3, 5))
+    out = _block_sum(x.data, k) * (1.0 / (k * k))
+    return _make(out, "avg_pool2d", (x,), lambda g: (avg_pool2d_grad(g, k),))
+
+
+def avg_pool2d_grad(g, k: int) -> Tensor:
+    """Adjoint of avg_pool2d: each entry of g / k² spread over its k×k block."""
+    g = _as_tensor(g)
+    n, c, hb, wb = g.shape
+    out = np.empty((n, c, hb, k, wb, k), dtype=g.data.dtype)
+    out[...] = (g.data * (1.0 / (k * k)))[:, :, :, None, :, None]
+    return _make(out.reshape(n, c, hb * k, wb * k), "avg_pool2d_grad", (g,),
+                 lambda u: (avg_pool2d(u, k),))
 
 
 # -- backward -----------------------------------------------------------------

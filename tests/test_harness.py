@@ -112,6 +112,8 @@ class TestIdx:
             load_dataset("csv:path=x")
         with pytest.raises(DataError):
             load_dataset("idx:images=only")
+        with pytest.raises(DataError, match="clases"):
+            load_dataset("blobs:classes=2,dim=4,n=100,seed=1,clases=3")
         d = load_dataset("blobs:classes=2,dim=4,n=100,seed=1")
         assert d.num_classes == 2
 
@@ -484,16 +486,20 @@ class TestCli:
         assert cli_main(["baseline", "--method", "snip", "--steps", "5"]) == 2
         assert cli_main(["sweep", "--kappa", "0.1"]) == 2
         assert cli_main(["sanity", "--sanity"]) == 2
+        assert cli_main(["search", "--arch", "lenet-c4"]) == 2
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         out = tmp_path / "out"
-        for section, word in [("[search]\nobjective = entropy", "entropy"),
-                              ("[search]\ncontroller = lagrnage", "lagrnage"),
-                              ("[search]\neta = 1.5", "eta"),
-                              ("[search]\ntau = 0", "tau"),
-                              ("[sweep]\nmethod = snip\nsanity = true", "sanity")]:
-            ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n{section}\n")
+        task = f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
+        for text, word in [(task + "[search]\nobjective = entropy", "entropy"),
+                           (task + "[search]\ncontroller = lagrnage", "lagrnage"),
+                           (task + "[search]\neta = 1.5", "eta"),
+                           (task + "[search]\ntau = 0", "tau"),
+                           (task + "[sweep]\nmethod = snip\nsanity = true", "sanity"),
+                           (task.replace(DATASET, f"{DATASET},clases=3"), "clases"),
+                           (task.replace("tiny-mlp", "lenet-c4"), "lenet-c4")]:
+            ini.write_text(text + "\n")
             assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
             assert not (out / "cells").exists()
             err = capsys.readouterr().err.strip()
@@ -502,8 +508,21 @@ class TestCli:
                            (["search", "--eta", "1.5"], "eta"),
                            (["search", "--tau", "0"], "tau"),
                            (["search", "--controller", "gradbalance", "--kappa", "0"], "kappa"),
-                           (["baseline", "--method", "snip", "--kappa", "1.5"], "kappa")]:
+                           (["baseline", "--method", "snip", "--kappa", "1.5"], "kappa"),
+                           (["baseline", "--method", "snip", "--dataset", "blobs:classes=1"],
+                            "classes"),
+                           (["oracle", "--dataset", DATASET, "--arch", "tiny-mlp",
+                             "--kappa", "0"], "kappa"),
+                           (["search", "--dataset", "blobz:classes=2"], "blobz"),
+                           (["oracle", "--dataset", "blobz:classes=2", "--kappa", "0.5"], "blobz"),
+                           (["search", "--dataset", f"{DATASET},clases=3"], "clases"),
+                           (["sweep", "--dataset", f"{DATASET},clases=3"], "clases"),
+                           (["sanity", "--dataset", f"{DATASET},clases=3"], "clases")]:
             assert cli_main(argv + ["--out", str(out)]) == 2
             assert not out.exists()
             err = capsys.readouterr().err.strip()
             assert word in err and len(err.splitlines()) == 1
+        for path in (tmp_path / "missing.csv", ini):  # absent, and not a metrics CSV
+            assert cli_main(["report", str(path)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert path.name in err and len(err.splitlines()) == 1

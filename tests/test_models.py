@@ -6,7 +6,7 @@ import pytest
 import cts.objectives as obj
 import cts.tensor as T
 from cts.data import make_blobs
-from cts.models import (ARCHS, BatchNorm, ModelError, ModelState, TrainConfig,
+from cts.models import (ARCHS, AvgPool, BatchNorm, ModelError, ModelState, TrainConfig,
                         _flatten_specs, build_model, evaluate, forward,
                         load_checkpoint, save_checkpoint, train)
 
@@ -74,6 +74,28 @@ class TestGraphSize:
         assert n_bn == 7
         assert ops.count("batch_norm") == n_bn
         assert "pow" not in ops
+
+    def test_lenet_pool_is_one_node(self, monkeypatch):
+        # one fused node per AvgPool spec, and no reshape-sum-scale chain beside
+        # it: that chain went through 6-d (n, c, h/k, k, w/k, k) blocks
+        model = build_model("lenet-conv4", 0, (1, 8, 8), 4)
+        x = np.random.default_rng(0).standard_normal((4, 1, 8, 8))
+        ops, ndims = [], set()
+        real = T._make
+
+        def counting(data, op, parents, vjp):
+            ops.append(op)
+            ndims.add(data.ndim)
+            return real(data, op, parents, vjp)
+
+        monkeypatch.setattr(T, "_make", counting)
+        leaves = {n: T.Tensor(model.params[n], requires_grad=True)
+                  for n, _, _ in model.maskable_index}
+        forward(model, x, np.array([0, 1, 2, 3]), param_tensors=leaves)
+        n_pool = sum(isinstance(s, AvgPool) for s in _flatten_specs(model.specs))
+        assert n_pool == 2
+        assert ops.count("avg_pool2d") == n_pool
+        assert 6 not in ndims
 
 
 class TestLayerViews:

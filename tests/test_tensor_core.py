@@ -193,6 +193,63 @@ class TestConvPool:
             T.avg_pool2d(T.reshape(t, (2, 3, 4, 4)), 2), 2.0)), x.ravel())
 
 
+def _pool_composed(x, k):
+    """Average pooling as reshape, sum and scale: the reference the fused
+    primitive must reproduce."""
+    n, c, h, w = x.shape
+    return T.mean(T.reshape(x, (n, c, h // k, k, w // k, k)), axis=(3, 5))
+
+
+class TestAvgPool:
+    SHAPES = [(4, 8, 8, 8), (2, 3, 4, 2), (3, 2, 6, 4)]
+
+    @staticmethod
+    def _inputs(shape):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape)
+        x[x < -1.0] = -0.0  # blocks of negative zeros keep the sign rule tested
+        w = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        return x, w
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_equal_to_composed_chain(self, shape):
+        x0, w = self._inputs(shape)
+        results = []
+        for pool in (T.avg_pool2d, _pool_composed):
+            x = Tensor(x0, requires_grad=True)
+            y = pool(x, 2)
+            (g,) = grad(T.sum_(T.mul(Tensor(w), T.mul(y, y))), [x], create_graph=True)
+            (g2,) = grad(T.sum_(T.mul(g, g)), [x])
+            results.append([t.data.tobytes() for t in (y, g, g2)])
+        assert results[0] == results[1]
+
+    def test_second_order_fd(self):
+        x0, w = self._inputs((2, 3, 4, 4))
+
+        def grad_norm(x):
+            y = T.avg_pool2d(x, 2)
+            (g,) = grad(T.sum_(T.mul(Tensor(w), T.mul(y, T.mul(y, y)))), [x],
+                        create_graph=True)
+            return T.l2_norm(g)
+
+        leaf = Tensor(x0, requires_grad=True)
+        (h,) = grad(grad_norm(leaf), [leaf])
+        h_fd = finite_diff_grad(lambda v: grad_norm(Tensor(v, requires_grad=True)).item(), x0)
+        np.testing.assert_allclose(h.data, h_fd, rtol=1e-6, atol=1e-7)
+
+    def test_adjoint_identity(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, 6, 4))
+        u = rng.standard_normal((2, 3, 3, 2))
+        lhs = np.vdot(T.avg_pool2d(Tensor(x), 2).data, u)
+        rhs = np.vdot(x, T.avg_pool2d_grad(Tensor(u), 2).data)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_indivisible_size_raises(self):
+        with pytest.raises(ShapeError):
+            T.avg_pool2d(Tensor(np.ones((1, 2, 5, 4))), 2)
+
+
 def _conv_pad_scalar(x, w):
     out = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
     return float(T.sum_(T.mul(out, out)).data)
@@ -457,9 +514,33 @@ class TestGraphSemantics:
         with pytest.raises(GraphError):
             backward(T.sum_(leaf), wrt=[untracked])
 
-    def test_nonfinite_check(self):
-        with pytest.raises(NonFiniteError):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_check(self, bad):
+        # the op whose output holds the entry is named, wherever the entry sits
+        x = np.linspace(-1.0, 1.0, 300)
+        x[137] = bad
+        with pytest.raises(NonFiniteError) as err:
+            T.reshape(T.add(Tensor(x), 1.0), (3, 100))
+        assert err.value.op == "add"
+        with pytest.raises(NonFiniteError, match="log"):
             T.log(Tensor(np.array([0.0])))
+
+    @pytest.mark.parametrize("x", [np.full(5, 1e200), np.full(5, -1e200),
+                                   np.full(5, 1e20, dtype=np.float32),
+                                   np.array([1e300, -1e300, 3.0])],
+                             ids=["1e200", "-1e200", "float32-1e20", "mixed"])
+    def test_finite_check_passes_overflowing_sums_of_squares(self, x):
+        # the sum of squares overflows to inf, yet every entry is finite
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.vdot(x, x))
+        out = T.neg(Tensor(x))
+        assert out.data.dtype == x.dtype
+        np.testing.assert_array_equal(out.data, -x)
+
+    @pytest.mark.parametrize("x", [np.zeros((0,)), np.zeros((3, 0)), np.array(2.5)],
+                             ids=["empty", "empty-2d", "0-d"])
+    def test_finite_check_passes_empty_and_scalar(self, x):
+        np.testing.assert_array_equal(T.neg(Tensor(x)).data, -x)
 
     def test_finite_checks_can_be_disabled(self):
         with T.finite_checks(False):
