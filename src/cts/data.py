@@ -6,6 +6,8 @@ function of (seed, t).
 
 from __future__ import annotations
 
+import inspect
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,6 +45,15 @@ class Dataset:
         return self.x_train[idx], self.y_train[idx]
 
 
+def _check_blobs(classes: int, dim: int, n: int, image: bool) -> None:
+    """The value rules of a blobs dataset, applied by the spec parser and by
+    make_blobs alike."""
+    if classes < 2 or dim < classes or n < classes:
+        raise DataError("need classes >= 2, dim >= classes, n >= classes")
+    if image and math.isqrt(dim) ** 2 != dim:
+        raise DataError(f"image blobs need a square dim, got {dim}")
+
+
 def make_blobs(classes: int = 4, dim: int = 20, n: int = 4000, seed: int = 0,
                separation: float = 10.0, image: bool = False) -> Dataset:
     """Gaussian clusters at mutually equidistant centers (unit noise).
@@ -51,8 +62,7 @@ def make_blobs(classes: int = 4, dim: int = 20, n: int = 4000, seed: int = 0,
     standard deviation. With image=True, dim must be a perfect square and
     samples are reshaped to (1, s, s).
     """
-    if classes < 2 or dim < classes or n < classes:
-        raise DataError("need classes >= 2, dim >= classes, n >= classes")
+    _check_blobs(classes, dim, n, image)
     rng = np.random.default_rng(np.random.SeedSequence([31, seed]))
     a = rng.standard_normal((dim, classes))
     q, _ = np.linalg.qr(a)
@@ -66,9 +76,7 @@ def make_blobs(classes: int = 4, dim: int = 20, n: int = 4000, seed: int = 0,
     n_train = int(0.8 * n)
     shape = (dim,)
     if image:
-        s = int(np.sqrt(dim))
-        if s * s != dim:
-            raise DataError(f"image blobs need a square dim, got {dim}")
+        s = math.isqrt(dim)
         x = x.reshape(n, 1, s, s)
         shape = (1, s, s)
     return Dataset(f"blobs-c{classes}-d{dim}-n{n}-s{seed}",
@@ -131,7 +139,8 @@ def parse_dataset_spec(spec: str) -> tuple[str, dict]:
 
     Forms: ``blobs:classes=4,dim=20,n=4000,seed=7,separation=10,image=0``
     or ``idx:images=<path>,labels=<path>``. Builds nothing; raises DataError
-    for an unknown kind, a key the kind does not read, or a bad value.
+    for an unknown kind, a key the kind does not read, or a bad value,
+    including blobs values that make_blobs would reject.
     """
     kind, _, rest = spec.partition(":")
     if kind not in _SPEC_KEYS:
@@ -148,6 +157,10 @@ def parse_dataset_spec(spec: str) -> tuple[str, dict]:
             raise DataError(f"{kind} dataset key '{key}': bad value {value!r}") from None
     if kind == "idx" and not {"images", "labels"} <= kwargs.keys():
         raise DataError("idx dataset needs images=<path>,labels=<path>")
+    if kind == "blobs":
+        args = inspect.signature(make_blobs).bind(**kwargs)
+        args.apply_defaults()
+        _check_blobs(*(args.arguments[k] for k in ("classes", "dim", "n", "image")))
     return kind, kwargs
 
 

@@ -7,7 +7,11 @@ L2 norm. Every backward rule is itself composed of these primitives, so
 gradients can be differentiated again (needed when an objective is a function
 of a gradient, and for Hessian-vector products). Convolution's two adjoints,
 ``conv2d_input_grad`` and ``conv2d_weight_grad``, are tracked primitives
-whose own vjps are convolutions and each other. Batch norm's input adjoint,
+whose own vjps are convolutions and each other. Their im2col columns are
+K-major, rows (c, kh, kw) by columns (n, oh, ow), and the input adjoint adds
+its kernel offsets as flat shifts of one buffer per channel. The tests check
+that all three give the sums of the row-major (n·oh·ow, c·kh·kw) formulas
+bit for bit at the conv shapes of ``models.ARCHS``. Batch norm's input adjoint,
 ``batch_norm_input_grad``, is a tracked primitive too; its own adjoint in the
 input is the one rule that is a plain numpy kernel, so a third derivative
 through batch norm raises GraphError. Average pooling is one node too:
@@ -27,6 +31,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _grad_enabled = True
 _finite_checks = True
@@ -125,10 +130,10 @@ class Tensor:
         return neg(self)
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return add(self, neg(_as_tensor(other, like=self)))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
+        return add(other, neg(self))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -136,11 +141,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_tensor(other)
-        return mul(self, power(other, -1.0))
+        return mul(self, power(_as_tensor(other, like=self), -1.0))
 
     def __rtruediv__(self, other):
-        return mul(_as_tensor(other), power(self, -1.0))
+        return mul(other, power(self, -1.0))
 
     def __pow__(self, p):
         return power(self, p)
@@ -170,8 +174,22 @@ class Tensor:
         return transpose(self)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """``x`` as a Tensor; a Python scalar takes the dtype of ``like``."""
+    if isinstance(x, Tensor):
+        return x
+    if like is not None and type(x) in (int, float):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
+
+
+def _as_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as Tensors, a Python scalar in the
+    other's dtype."""
+    if isinstance(a, Tensor):
+        return a, _as_tensor(b, like=a)
+    b = _as_tensor(b)
+    return _as_tensor(a, like=b), b
 
 
 def _all_finite(data: np.ndarray) -> bool:
@@ -208,14 +226,15 @@ def _unbroadcast(grad: Tensor, shape: tuple) -> Tensor:
 # -- elementwise ------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_pair(a, b)
     try:
         out = a.data + b.data
     except ValueError:
         raise ShapeError("add", a.shape, b.shape)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, "add", (a, b), vjp)
 
@@ -226,14 +245,15 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_pair(a, b)
     try:
         out = a.data * b.data
     except ValueError:
         raise ShapeError("mul", a.shape, b.shape)
 
     def vjp(g):
-        return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
+        return (_unbroadcast(mul(g, b), a.shape) if a.requires_grad else None,
+                _unbroadcast(mul(g, a), b.shape) if b.requires_grad else None)
 
     return _make(out, "mul", (a, b), vjp)
 
@@ -436,35 +456,53 @@ def l2_norm(a) -> Tensor:
 
 # -- convolution / pooling ----------------------------------------------------
 
+def _out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Rows (n, oh, ow), columns (c, kh, kw): one slab copy per kernel
-    offset, kh·kw in all, out of a zero-padded NHWC copy of ``x``."""
+    """Rows (c, kh, kw), columns (n, oh, ow).
+
+    A stride-1 convolution whose output keeps the input's size reads each
+    channel as one flat run of images without column padding, separated by
+    their ``padding`` zero rows: every (channel, offset, image) slab is then
+    one contiguous run of h·w, and the few entries that wrapped round a row
+    end are set to zero after. Any other convolution copies one slab per
+    kernel offset out of a zero-padded (c, n, hp, wp) copy of ``x``.
+    """
     n, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n * oh * ow, c * kh * kw)
+    p, e = padding, x.itemsize
+    oh, ow = _out_hw(h, w, kh, kw, stride, p)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    if stride == 1 and (oh, ow) == (h, w):
+        band = (h + p) * w
+        flat = np.zeros((c, (p * w + p) + n * band + p), dtype=x.dtype)
+        flat[:, p * w + p:p * w + p + n * band].reshape(c, n, h + p, w)[:, :, :h] = \
+            x.transpose(1, 0, 2, 3)
+        np.copyto(cols.reshape(c, kh, kw, n, h * w),
+                  as_strided(flat, (c, kh, kw, n, h * w),
+                             (flat.strides[0], w * e, e, band * e, e)))
+        for j in range(kw):  # columns whose window left the row
+            cols[:, :, j, :, :, :max(p - j, 0)] = 0.0
+            cols[:, :, j, :, :, w + min(p - j, 0):] = 0.0
+    else:
+        xp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+        for i in range(kh):
+            for j in range(kw):
+                np.copyto(cols[:, i, j],
+                          xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride])
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
-    """Adjoint of _im2col: sums each column back onto its input position,
-    in an NHWC buffer, and returns a C-contiguous NCHW array."""
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    xp = np.zeros((n, hp, wp, c), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[..., i, j]
-    return np.ascontiguousarray(xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+def _row_major_product(m: int, co: int) -> bool:
+    """Whether conv2d and its weight gradient multiply with one row per
+    output position, (n·oh·ow, c·kh·kw), instead of with the K-major
+    columns. OpenBLAS sums small products, and products whose m = n·oh·ow
+    is not a multiple of 8, in an order that depends on the operands'
+    layout; taking the row form there gives every product the sums of the
+    row form, whatever its size."""
+    return m % 8 != 0 or m * co <= 4096
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0,
@@ -478,11 +516,14 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
         raise ShapeError("conv2d", x.shape, w.shape)
     n = x.shape[0]
     co, ci, kh, kw = w.shape
-    oh = (x.shape[2] + 2 * padding - kh) // stride + 1
-    ow = (x.shape[3] + 2 * padding - kw) // stride + 1
+    oh, ow = _out_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
     if cols is None:
         cols = _im2col(x.data, kh, kw, stride, padding)
-    out = (cols @ w.data.reshape(co, -1).T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    wm = w.data.reshape(co, -1)
+    if _row_major_product(cols.shape[1], co):
+        out = (np.ascontiguousarray(cols.T) @ wm.T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    else:
+        out = (wm @ cols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
 
     def vjp(g):
         return (conv2d_input_grad(g, w, x.shape, stride, padding) if x.requires_grad else None,
@@ -493,17 +534,42 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
 
 
 def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tensor:
-    """Adjoint of conv2d in its input: col2im(g W), of shape ``x_shape``."""
+    """Adjoint of conv2d in its input: col2im(Wᵀ g), of shape ``x_shape``.
+
+    Each channel is one flat buffer in which consecutive images share their
+    zero rows and consecutive rows their zero columns. ``g`` is placed at
+    the window origins, so Wᵀ g is an exact zero everywhere else, and every
+    kernel offset becomes one flat shift. One reduction over a strided view
+    adds the kh·kw shifted products from +0.0 in col2im's (i, j) order.
+    """
     g, w = _as_tensor(g), _as_tensor(w)
     co, ci, kh, kw = w.shape
-    g2 = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
-    out = _col2im(g2 @ w.data.reshape(co, -1), x_shape, kh, kw, stride, padding)
+    n, c, h, wd = x_shape
+    p, s = padding, stride
+    oh, ow = g.shape[2], g.shape[3]
+    # the zero rows and columns between two images or rows: at least p, and
+    # enough that no two window origins share a flat position
+    qh, qw = max(p, 2 * p - kh + 1), max(p, 2 * p - kw + 1)
+    pitch = wd + qw
+    band = (h + qh) * pitch
+    lead = (kh - 1) * pitch + kw - 1  # the largest shift
+    grid = np.zeros((co, lead + n * band), dtype=g.data.dtype)
+    grid[:, lead:].reshape(co, n, h + qh, pitch)[:, :, 0:s * oh:s, 0:s * ow:s] = \
+        g.data.transpose(1, 0, 2, 3)
+    d = (w.data.reshape(co, -1).T @ grid).reshape(c, kh, kw, lead + n * band)
+    e = d.itemsize
+    shifted = as_strided(d[:, 0, 0, lead:], (c, kh, kw, n * band),
+                         (d.strides[0], d.strides[1] - pitch * e, d.strides[2] - e, e))
+    v = np.add.reduce(shifted, axis=(1, 2), initial=0.0)
+    out = v.reshape(c, n, h + qh, pitch)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3)
 
     def vjp(u):
-        return (conv2d(u, w, stride=stride, padding=padding) if g.requires_grad else None,
-                conv2d_weight_grad(u, g, w.shape, stride, padding) if w.requires_grad else None)
+        cols = _im2col(u.data, kh, kw, stride, padding)  # shared by both adjoints
+        return (conv2d(u, w, stride=stride, padding=padding, cols=cols) if g.requires_grad else None,
+                conv2d_weight_grad(u, g, w.shape, stride, padding, cols=cols)
+                if w.requires_grad else None)
 
-    return _make(out, "conv2d_input_grad", (g, w), vjp)
+    return _make(np.ascontiguousarray(out), "conv2d_input_grad", (g, w), vjp)
 
 
 def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
@@ -516,8 +582,11 @@ def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
     co, ci, kh, kw = w_shape
     if cols is None:
         cols = _im2col(x.data, kh, kw, stride, padding)
-    g2 = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
-    out = (g2.T @ cols).reshape(w_shape)
+    g_rows = g.data.transpose(0, 2, 3, 1).reshape(-1, co)
+    if _row_major_product(cols.shape[1], co):
+        out = (g_rows.T @ np.ascontiguousarray(cols.T)).reshape(w_shape)
+    else:
+        out = np.ascontiguousarray((cols @ np.ascontiguousarray(g_rows)).T).reshape(w_shape)
 
     def vjp(v):
         return (conv2d_input_grad(g, v, x.shape, stride, padding) if x.requires_grad else None,

@@ -9,7 +9,8 @@ import pytest
 
 import cts.experiment as experiment
 from cts.cli import main as cli_main
-from cts.data import (DataError, load_dataset, load_idx, make_blobs)
+from cts.data import (DataError, load_dataset, load_idx, make_blobs,
+                      parse_dataset_spec)
 from cts.experiment import (ExperimentConfig, MetricsRecord, load_config,
                             report, run_experiment)
 from cts.mask import load_ticket
@@ -114,6 +115,12 @@ class TestIdx:
             load_dataset("idx:images=only")
         with pytest.raises(DataError, match="clases"):
             load_dataset("blobs:classes=2,dim=4,n=100,seed=1,clases=3")
+        # blobs values are checked before anything is built; the defaults
+        # (classes 4, dim 20) count too
+        for spec, word in [("blobs:classes=1", "classes"), ("blobs:dim=3", "dim"),
+                           ("blobs:classes=3,n=2", "n >="), ("blobs:dim=15,image=1", "square")]:
+            with pytest.raises(DataError, match=word):
+                parse_dataset_spec(spec)
         d = load_dataset("blobs:classes=2,dim=4,n=100,seed=1")
         assert d.num_classes == 2
 
@@ -517,7 +524,9 @@ class TestCli:
                            (["oracle", "--dataset", "blobz:classes=2", "--kappa", "0.5"], "blobz"),
                            (["search", "--dataset", f"{DATASET},clases=3"], "clases"),
                            (["sweep", "--dataset", f"{DATASET},clases=3"], "clases"),
-                           (["sanity", "--dataset", f"{DATASET},clases=3"], "clases")]:
+                           (["sanity", "--dataset", f"{DATASET},clases=3"], "clases"),
+                           (["sweep", "--dataset", "blobs:classes=1"], "classes"),
+                           (["sanity", "--dataset", "blobs:dim=15,image=1"], "square")]:
             assert cli_main(argv + ["--out", str(out)]) == 2
             assert not out.exists()
             err = capsys.readouterr().err.strip()

@@ -97,6 +97,31 @@ class TestGraphSize:
         assert ops.count("avg_pool2d") == n_pool
         assert 6 not in ndims
 
+    def test_resnet_grad_step_counts(self, monkeypatch):
+        # one `grad` search step: adjoints only for parents that need one, and
+        # one column build per conv2d_input_grad vjp, shared by both its adjoints
+        from cts.mask import sample_logistic, step_rng
+        model = build_model("resnet-tiny", 0, (1, 8, 8), 4)
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((4, 1, 8, 8)), rng.integers(0, 4, 4)
+        counts = {"nodes": 0, "im2col": 0}
+        real_make, real_im2col = T._make, T._im2col
+
+        def counting_make(*args):
+            counts["nodes"] += 1
+            return real_make(*args)
+
+        def counting_im2col(*args):
+            counts["im2col"] += 1
+            return real_im2col(*args)
+
+        monkeypatch.setattr(T, "_make", counting_make)
+        monkeypatch.setattr(T, "_im2col", counting_im2col)
+        obj.value_and_alpha_grad("grad", model, x, y, rng.standard_normal(model.d),
+                                 sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
+        assert counts["nodes"] <= 843
+        assert counts["im2col"] == 20
+
 
 class TestLayerViews:
     def test_views_cut_a_vector_by_layer(self):

@@ -52,6 +52,18 @@ class TestElementwise:
         x = RNG.standard_normal(9) + 0.1  # keep away from the kink
         _fd_check(lambda t: T.sum_(T.absolute(t)), x)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_scalar_keeps_dtype(self, dtype):
+        # a Python scalar takes the other operand's dtype, on either side
+        x = Tensor(np.array([0.5, -2.0, 4.0], dtype=dtype))
+        results = {"add": [x + 1.0, 1.0 + x, T.add(x, 2), T.add(2, x)],
+                   "sub": [x - 1.0, 1.0 - x, x - 3],
+                   "mul": [x * 2, 2 * x, T.mul(x, 1.5), T.mul(1.5, x)],
+                   "truediv": [x / 2.0, 2.0 / x, x / 4]}
+        for op, outs in results.items():
+            assert [o.data.dtype for o in outs] == [dtype] * len(outs), op
+        np.testing.assert_array_equal((x / 4).data, x.data / dtype(4))
+
 
 class TestLinearity:
     def test_grad_is_linear_in_upstream(self):
@@ -357,14 +369,20 @@ class TestConvKernels:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_kernels_match_plain_loops(self, stride, padding, k):
         x = RNG.standard_normal(self.SHAPE)
-        cols = T._im2col(x, k, k, stride, padding)
-        np.testing.assert_array_equal(cols, _im2col_loop(x, k, stride, padding))
-        c = RNG.standard_normal(cols.shape)
-        back = T._col2im(c, x.shape, k, k, stride, padding)
-        np.testing.assert_array_equal(back, _col2im_loop(c, x.shape, k, stride, padding))
+        cols = T._im2col(x, k, k, stride, padding)  # rows (c, kh, kw)
+        np.testing.assert_array_equal(cols, _im2col_loop(x, k, stride, padding).T)
+        # integer entries make every product and sum exact, so this checks
+        # where each term of the input gradient lands, whatever the BLAS order
+        w = RNG.integers(-3, 4, (4, 3, k, k)).astype(float)
+        oh, ow = T._out_hw(5, 7, k, k, stride, padding)
+        g = RNG.integers(-3, 4, (2, 4, oh, ow)).astype(float)
+        back = T.conv2d_input_grad(Tensor(g), Tensor(w), x.shape, stride, padding).data
+        wtg = w.reshape(4, -1).T @ g.transpose(1, 0, 2, 3).reshape(4, -1)
+        np.testing.assert_array_equal(back, _col2im_loop(wtg.T, x.shape, k, stride, padding))
         assert back.flags.c_contiguous
         # the two are adjoint
-        np.testing.assert_allclose(np.vdot(cols, c), np.vdot(x, back), rtol=1e-12)
+        out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        np.testing.assert_allclose(np.vdot(out, g), np.vdot(x, back), rtol=1e-12)
 
     @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 0)])
     def test_conv2d_reuses_given_cols(self, stride, padding):
@@ -374,6 +392,84 @@ class TestConvKernels:
         np.testing.assert_array_equal(
             T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, cols=cols).data,
             T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data)
+
+
+def _im2col_rows(x, k, stride, padding):
+    """im2col with one row per output position, (n·oh·ow, c·k·k), built in
+    an NHWC buffer: the layout the conv kernels used before."""
+    n, c, h, w = x.shape
+    oh, ow = T._out_hw(h, w, k, k, stride, padding)
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, oh, ow, c, k, k))
+    for i in range(k):
+        for j in range(k):
+            cols[..., i, j] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(n * oh * ow, c * k * k)
+
+
+def _conv_rows(x, w, g, stride, padding):
+    """conv2d, its input gradient and its weight gradient by the row-major
+    formulas: the reference the K-major kernels must reproduce bit for bit."""
+    n, c, h, wd = x.shape
+    co, _, k, _ = w.shape
+    oh, ow = T._out_hw(h, wd, k, k, stride, padding)
+    cols = _im2col_rows(x, k, stride, padding)
+    wm = w.reshape(co, -1)
+    fwd = (cols @ wm.T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    g2 = g.transpose(0, 2, 3, 1).reshape(-1, co)
+    dcols = (g2 @ wm).reshape(n, oh, ow, c, k, k)
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c))
+    for i in range(k):
+        for j in range(k):
+            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[..., i, j]
+    back = xp[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
+    return fwd, back, (g2.T @ cols).reshape(w.shape)
+
+
+# (input channels, height = width, output channels) of every conv layer in
+# ARCHS at the default input shape (1, 8, 8)
+ARCH_CONV_SHAPES = [(1, 8, 8), (8, 4, 16), (8, 8, 8)]
+
+
+class TestConvMatchesRowMajor:
+    def test_shape_list_covers_archs(self, monkeypatch):
+        from cts.models import ARCHS, build_model, default_input_shape, forward
+        seen = set()
+        real = T.conv2d
+
+        def recording(x, w, stride=1, padding=0, cols=None):
+            seen.add((x.shape[1], x.shape[2], w.shape[0], x.shape[3], w.shape[2],
+                      stride, padding))
+            return real(x, w, stride=stride, padding=padding, cols=cols)
+
+        monkeypatch.setattr(T, "conv2d", recording)
+        for arch in ARCHS:
+            shape = default_input_shape(arch)
+            forward(build_model(arch, 0), np.zeros((2,) + shape))
+        assert seen == {(c, h, co, h, 3, 1, 1) for c, h, co in ARCH_CONV_SHAPES}
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (1, 0)])
+    @pytest.mark.parametrize("n", [4, 32, 320])
+    @pytest.mark.parametrize("c, h, co", ARCH_CONV_SHAPES)
+    def test_bit_equal(self, c, h, co, n, stride, padding):
+        rng = np.random.default_rng(n + 7 * c + h)
+        x = rng.standard_normal((n, c, h, h))
+        x[x < -1.0] = -0.0  # signed zeros in every operand
+        x[x > 1.5] = 0.0
+        w = rng.standard_normal((co, c, 3, 3))
+        w[np.abs(w) < 0.1] = -0.0
+        oh, ow = T._out_hw(h, h, 3, 3, stride, padding)
+        g = rng.standard_normal((n, co, oh, ow))
+        g[g < -0.8] = -0.0
+        g[g > 1.2] = 0.0
+        got = (T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data,
+               T.conv2d_input_grad(Tensor(g), Tensor(w), x.shape, stride, padding).data,
+               T.conv2d_weight_grad(Tensor(x), Tensor(g), w.shape, stride, padding).data)
+        for a, b in zip(got, _conv_rows(x, w, g, stride, padding)):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+            assert a.flags.c_contiguous  # a strided result would reorder later sums
 
 
 BN_EPS = 1e-5
@@ -507,6 +603,24 @@ class TestGraphSemantics:
         _, gb = grad(out, [w, b])
         assert calls == ["matmul"]  # b's adjoint only
         np.testing.assert_allclose(gb.data, a.data.T @ np.ones((4, 3)))
+
+    def test_add_mul_skip_untracked_adjoint(self, monkeypatch):
+        # a constant operand of add or mul gets no adjoint that backward drops
+        x = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
+        c = Tensor(RNG.standard_normal(3))
+        out = T.sum_(T.mul(T.add(x, c), c))
+        ops = []
+        real = T._make
+
+        def counting(data, op, parents, vjp):
+            ops.append(op)
+            return real(data, op, parents, vjp)
+
+        monkeypatch.setattr(T, "_make", counting)
+        (g,) = grad(out, [x])
+        # sum's broadcast and one product for x; no product or sum toward c
+        assert sorted(ops) == ["broadcast", "mul"]
+        np.testing.assert_array_equal(g.data, np.ones((2, 3)) * c.data)
 
     def test_grad_of_untracked_tensor_errors(self):
         leaf = Tensor(np.ones(3), requires_grad=True)
