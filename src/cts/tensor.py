@@ -22,12 +22,20 @@ Every node's output is checked to be finite (NonFiniteError names the op),
 unless ``finite_checks(False)``. One call decides it, the sum of squares,
 unless that sum overflows; the check stays per node, because a later op can
 absorb a non-finite value (relu(-inf) = 0).
+
+Importing this module sets glibc's allocator policy for the process
+(``_keep_freed_heap``). A graph pass over a large batch, such as
+``hard_value`` on the 256-row eval batch, holds about 100 MB of arrays.
+Under glibc's defaults that heap top is handed back to the kernel when the
+graph is freed, and the next such pass faults some 40k pages in again.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,6 +43,40 @@ from numpy.lib.stride_tricks import as_strided
 
 _grad_enabled = True
 _finite_checks = True
+
+_M_TRIM_THRESHOLD = -1           # glibc malloc.h
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20   # glibc's ceiling for its dynamic threshold (64-bit)
+
+
+def _keep_freed_heap() -> bool:
+    """Make glibc keep the freed heap for the life of the process.
+
+    The mmap threshold is fixed at glibc's own ceiling for its dynamic one,
+    so arrays under 32 MiB come from the heap; only if glibc accepts that is
+    the trim threshold switched off, so the freed heap top is never handed
+    back. The trim threshold alone would switch the dynamic mmap threshold
+    off and map every array of 128 KiB or more afresh. Peak RSS is unchanged;
+    RSS stays at its high-water mark. Arithmetic is untouched. Where the C
+    library is not glibc, or has no ``mallopt``, nothing is done. Returns
+    whether both settings took.
+    """
+    if "CS_GNU_LIBC_VERSION" not in os.confstr_names:
+        return False
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) != 1:
+        return False
+    return mallopt(_M_TRIM_THRESHOLD, -1) == 1
+
+
+_keep_freed_heap()
 
 
 class TensorError(Exception):
@@ -264,7 +306,7 @@ def power(a, p: float) -> Tensor:
     out = a.data ** p
 
     def vjp(g):
-        return (mul(g, mul(Tensor(np.asarray(p)), power(a, p - 1.0))),)
+        return (mul(g, mul(_as_tensor(p, like=a), power(a, p - 1.0))),)
 
     return _make(out, "pow", (a,), vjp)
 

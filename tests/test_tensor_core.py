@@ -1,5 +1,9 @@
 """Autodiff engine tests: finite-difference agreement, graph semantics,
-second-order support, and numeric guards."""
+second-order support, numeric guards, and the allocator policy set on import."""
+
+import os
+import resource
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,11 +59,12 @@ class TestElementwise:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_python_scalar_keeps_dtype(self, dtype):
         # a Python scalar takes the other operand's dtype, on either side
-        x = Tensor(np.array([0.5, -2.0, 4.0], dtype=dtype))
+        x = Tensor(np.array([0.5, -2.0, 4.0], dtype=dtype), requires_grad=True)
         results = {"add": [x + 1.0, 1.0 + x, T.add(x, 2), T.add(2, x)],
                    "sub": [x - 1.0, 1.0 - x, x - 3],
                    "mul": [x * 2, 2 * x, T.mul(x, 1.5), T.mul(1.5, x)],
-                   "truediv": [x / 2.0, 2.0 / x, x / 4]}
+                   "truediv": [x / 2.0, 2.0 / x, x / 4],
+                   "pow grad": grad(T.sum_(x ** 2), [x])}
         for op, outs in results.items():
             assert [o.data.dtype for o in outs] == [dtype] * len(outs), op
         np.testing.assert_array_equal((x / 4).data, x.data / dtype(4))
@@ -667,3 +672,45 @@ class TestFiniteDiffHelper:
         x = RNG.standard_normal(5)
         g = finite_diff_grad(lambda v: float((v ** 2).sum()), x)
         np.testing.assert_allclose(g, 2 * x, rtol=1e-7, atol=1e-7)
+
+
+GLIBC = ("CS_GNU_LIBC_VERSION" in os.confstr_names
+         and (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"))
+
+
+class TestAllocatorPolicy:
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())
+        assert T._keep_freed_heap() is False
+
+    @pytest.mark.skipif(not GLIBC, reason="the policy acts on glibc only")
+    @pytest.mark.parametrize("result", [1, 0])
+    def test_trim_threshold_only_after_mmap_threshold(self, monkeypatch, result):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert T._keep_freed_heap() is bool(result)
+        mmap = (T._M_MMAP_THRESHOLD, 32 << 20)
+        assert calls == ([mmap, (T._M_TRIM_THRESHOLD, -1)] if result else [mmap])
+
+    @pytest.mark.skipif(not GLIBC, reason="the policy acts on glibc only")
+    def test_large_batch_pass_keeps_its_heap(self):
+        # One hard_value("grad") pass on the 256-row eval batch holds ~100 MB
+        # of graph; with the heap handed back, the next pass faulted ~39,000
+        # pages in again.
+        from cts.data import load_dataset
+        from cts.models import build_model
+        from cts.objectives import hard_value
+        data = load_dataset("blobs:classes=4,dim=64,n=2000,seed=3,image=1")
+        model = build_model("resnet-tiny", 0)
+        x, y = data.eval_batch(seed=1)
+        assert len(x) == 256
+        mask = (np.random.default_rng(0).random(model.d) < 0.05).astype(np.float64)
+        hard_value("grad", model, x, y, mask)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        hard_value("grad", model, x, y, mask)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
