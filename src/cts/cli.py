@@ -73,7 +73,11 @@ def cmd_search(args) -> int:
     except (SearchError, DataError, ValueError) as e:
         print(f"cts search: bad config: {e}", file=sys.stderr)
         return 2
-    ticket, final, info = run_cts(cfg, args.arch, data, tcfg)
+    try:  # an empty ticket is caught before any training
+        ticket, final, info = run_cts(cfg, args.arch, data, tcfg)
+    except mk.MaskError as e:
+        print(f"cts search: bad config: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "ticket.json", ticket, arch=args.arch, kappa=args.kappa)
@@ -102,9 +106,9 @@ def cmd_baseline(args) -> int:
     except (ExperimentError, SearchError, ValueError) as e:
         print(f"cts baseline: bad config: {e}", file=sys.stderr)
         return 2
-    try:
+    try:  # an empty ticket is caught before any training
         record, ticket = run_cell(cfg, 1.0 - args.kappa, 0)
-    except DataError as e:
+    except (DataError, mk.MaskError) as e:
         print(f"cts baseline: bad config: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)

@@ -119,7 +119,9 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
     """Execute one (method, sparsity, repeat) cell. Pure given the config.
 
     A cts cell draws its ticket with ``run_cts`` unless ``group`` already
-    holds the pair's draw, and leaves its draw there for the next cell.
+    holds the pair's draw, and leaves its draw there for the next cell. A
+    sparsity that leaves an empty ticket raises ``MaskError`` before any
+    training.
     """
     group = group or CellGroup(cfg.dataset)
     data = group.data
@@ -129,6 +131,8 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
     t0 = time.perf_counter()
 
     method = cfg.method
+    if method != "cts":  # run_cts checks its own kappa
+        mk.ticket_size(kappa, build_model(cfg.arch, seed, data.input_shape, data.num_classes).d)
     if method == "cts":
         scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa,
                                "seed_init": seed, "seed_search": seed + 1,
@@ -139,11 +143,13 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
         if variant:
             ticket, final = _apply_ablation(variant, ticket, info, data, tcfg, seed)
         acc, _ = evaluate(final, data.x_test, data.y_test)
-        # the drawn mask's value on the eval batch of seed + 1 came with the draw
+        # the drawn mask's value on the eval batch of seed + 1 came with the
+        # draw, and so did the teacher's half of every score on that batch
         value = info["objective_at_draw"]
         if ticket is not group.draw[0]:  # shuffle and invert score their own mask
             ex, ey = data.eval_batch(seed=seed + 1)
-            value = obj.hard_value(scfg.objective, info["rewind_model"], ex, ey, ticket.mask)
+            value = obj.hard_value(scfg.objective, info["rewind_model"], ex, ey, ticket.mask,
+                                   teacher=info["teacher"])
     elif method == "ltr":
         p = cfg.ltr_prune_fraction
         rounds = max(1, int(round(math.log(max(kappa, 1e-12)) / math.log(1 - p))))

@@ -1,13 +1,16 @@
 """Differentiable pruning objectives over (masked student, dense teacher) pairs.
 
-Tags: loss, dloss, gradnorm, kl, feature, grad. The teacher pass is always
-evaluated outside the gradient graph. The two gradient-based objectives
-(gradnorm, grad) are functions of the student's loss gradient; that gradient
-is built in-graph, so the search differentiates it again (double-backward)
-on every architecture. The graph is differentiated w.r.t. the soft mask, one
-leaf per maskable layer, and the chain to the mask logits is applied
-analytically. A hard mask is scored by the same code on the masked copy of
-the weights (``hard_value``).
+Tags: loss, dloss, gradnorm, kl, feature, grad. What an objective reads of
+the dense teacher on a batch is ``teacher_pass``: a no-grad trace (dloss, kl,
+feature), the per-layer loss gradients (grad) or nothing (loss, gradnorm).
+It is computed outside the gradient graph, and a caller that scores several
+masks on one batch computes it once and hands it to each score. The two
+gradient-based objectives (gradnorm, grad) are functions of the student's
+loss gradient; that gradient is built in-graph, so the search differentiates
+it again (double-backward) on every architecture. The graph is
+differentiated w.r.t. the soft mask, one leaf per maskable layer, and the
+chain to the mask logits is applied analytically. A hard mask is scored by
+the same code on the masked copy of the weights (``hard_value``).
 """
 
 from __future__ import annotations
@@ -119,11 +122,6 @@ def grad_match(student_grads: list[Tensor], teacher_grads: list[np.ndarray]) -> 
     return T.mul(total, 1.0 / len(terms))
 
 
-def _teacher_trace(model: ModelState, x, y, capture: bool) -> ForwardTrace:
-    with T.no_grad():
-        return forward(model, x, y, capture_features=capture)
-
-
 def maskable_leaves(model: ModelState) -> dict[str, Tensor]:
     """A fresh tracked leaf on each maskable weight, by parameter name."""
     return {name: Tensor(model.params[name], requires_grad=True)
@@ -146,12 +144,26 @@ def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
     return [g.data for g in loss_grads(model, x, y)]
 
 
+def teacher_pass(tag: str, model: ModelState, x, y) -> ForwardTrace | list[np.ndarray] | None:
+    """What objective ``tag`` reads of the dense ``model`` on (x, y): the
+    no-grad trace (dloss, kl, feature), the per-layer loss gradients (grad),
+    or None (loss, gradnorm)."""
+    kind = get_kind(tag)
+    if not kind.needs_teacher:
+        return None
+    if kind.needs_student_grads:
+        return teacher_layer_grads(model, x, y)
+    with T.no_grad():
+        return forward(model, x, y, capture_features=tag == "feature")
+
+
 # -- unified evaluation --------------------------------------------------------
 
 def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = None,
-             dense: ModelState | None = None) -> Tensor:
-    """Objective value of ``model`` under ``overlay``, against the teacher
-    ``dense`` (default: ``model`` itself), as a (possibly tracked) scalar.
+             teacher=None) -> Tensor:
+    """Objective value of ``model`` under ``overlay``, as a (possibly tracked)
+    scalar, against ``teacher``: the ``teacher_pass`` of the dense model on
+    (x, y), computed here from ``model`` itself when the caller has none.
 
     ``overlay`` holds one Tensor per maskable layer in the weight's shape
     (``ModelState.layer_views`` of a soft mask); ``forward`` gets each weight
@@ -160,14 +172,13 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
     gradient from ``loss_grads``, in-graph under a tracked overlay.
     """
     kind = get_kind(tag)
-    dense = model if dense is None else dense
-    capture = tag == "feature"
+    if teacher is None:
+        teacher = teacher_pass(tag, model, x, y)
     weights = {} if overlay is None else {
         name: T.mul(Tensor(model.params[name]), piece)
         for (name, _, _), piece in zip(model.maskable_index, overlay, strict=True)}
     if not kind.needs_student_grads:
-        teacher = _teacher_trace(dense, x, y, capture) if kind.needs_teacher else None
-        student = forward(model, x, y, capture_features=capture, param_tensors=weights)
+        student = forward(model, x, y, capture_features=tag == "feature", param_tensors=weights)
         if tag == "loss":
             return task_loss(student)
         if tag == "dloss":
@@ -185,7 +196,7 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
                              "use hard_value for a hard mask")
     if tag == "gradnorm":
         return neg_grad_norm(grads)
-    return grad_match(grads, teacher_layer_grads(dense, x, y))
+    return grad_match(grads, teacher)
 
 
 def value_and_alpha_grad(tag: str, model: ModelState, x, y,
@@ -206,6 +217,12 @@ def value_and_alpha_grad(tag: str, model: ModelState, x, y,
     return r.item(), g * (s * (1.0 - s)) * (1.0 / tau)
 
 
-def hard_value(tag: str, model: ModelState, x, y, mask_vec: np.ndarray) -> float:
-    """Objective value under a hard binary mask (no Concrete noise)."""
-    return evaluate(tag, model.masked(mask_vec), x, y, dense=model).item()
+def hard_value(tag: str, model: ModelState, x, y, mask_vec: np.ndarray,
+               teacher=None) -> float:
+    """Objective value under a hard binary mask (no Concrete noise), against
+    ``teacher``, the ``teacher_pass`` of ``model`` on (x, y) when the caller
+    already has it; a caller scoring several masks on one batch passes it to
+    each."""
+    if teacher is None:
+        teacher = teacher_pass(tag, model, x, y)
+    return evaluate(tag, model.masked(mask_vec), x, y, teacher=teacher).item()

@@ -1,8 +1,9 @@
 """Brute-force mask enumeration for desk-scale ground truth.
 
 Enumerates every binary mask with exactly round(kappa*d) ones, evaluates the
-objective on a fixed batch with hard masks (no Concrete noise), and returns
-the argmin plus the full value table in canonical sorted order.
+objective on a fixed batch with hard masks (no Concrete noise) against one
+teacher pass, and returns the argmin plus the full value table in canonical
+sorted order.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ def brute_force_oracle(model: ModelState, eval_batch, kappa: float,
         raise OracleError(
             f"combinatorial budget exceeded: C({d},{n}) > {ORACLE_BUDGET}")
     x, y = eval_batch
+    teacher = obj.teacher_pass(objective, model, x, y)
     table = []
     mask = np.zeros(d, dtype=np.float64)
     for idx in combinations(range(d), n):
         mask[:] = 0.0
         mask[list(idx)] = 1.0
-        value = obj.hard_value(objective, model, x, y, mask)
+        value = obj.hard_value(objective, model, x, y, mask, teacher=teacher)
         table.append((idx, value))
     table.sort(key=lambda t: (t[1], t[0]))
     best_idx = table[0][0]

@@ -117,25 +117,31 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     """Full pipeline (k-step pre-train, search, clamp, masked retrain).
 
     Returns the ticket, the retrained model, and a metrics dict holding the
-    per-step search trace plus the rewound state for downstream ablations.
+    per-step search trace plus what downstream ablations score against: the
+    rewound state and its ``teacher_pass`` on the eval batch of
+    ``seed_search``. A kappa that leaves an empty ticket raises ``MaskError``
+    before any training.
     """
     k = train_cfg.rewind_step
     model0 = build_model(arch, cfg.seed_init, data.input_shape, data.num_classes)
+    mk.ticket_size(cfg.kappa, model0.d)
     model_k = train(model0, data, train_cfg, stop_step=k)
 
     dist, metrics = search_phase(model_k, cfg, data)
     ticket = mk.clamp_topk(dist, cfg.kappa)
 
     eval_x, eval_y = data.eval_batch(seed=cfg.seed_search)
-    objective_at_draw = obj.hard_value(cfg.objective, model_k, eval_x, eval_y, ticket.mask)
+    teacher = obj.teacher_pass(cfg.objective, model_k, eval_x, eval_y)
+    objective_at_draw = obj.hard_value(cfg.objective, model_k, eval_x, eval_y, ticket.mask,
+                                       teacher=teacher)
 
     final = train(model_k, data, train_cfg, mask=ticket.mask, start_step=k)
     info = {
         "search": metrics,
         "distribution": dist,
         "rewind_model": model_k,
+        "teacher": teacher,
         "objective_at_draw": objective_at_draw,
-        "expected_density_end": metrics.expected_density[-1] if metrics.steps else
-                                mk.expected_density(dist),
+        "expected_density_end": metrics.expected_density[-1],
     }
     return ticket, final, info

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cts.baselines as baselines
 import cts.experiment as experiment
+import cts.objectives as obj
+import cts.search as search
 from cts.cli import main as cli_main
 from cts.data import (DataError, load_dataset, load_idx, make_blobs,
                       parse_dataset_spec)
@@ -356,6 +359,37 @@ class TestExperiment:
             assert (tmp_path / "shared" / name).read_bytes() == \
                    (tmp_path / "alone" / name).read_bytes(), name
 
+    def test_sanity_group_takes_one_teacher_pass(self, tmp_path, monkeypatch):
+        # the cts, shuffle and invert rows of a pair score their masks on one
+        # eval batch against one rewound model, so its loss gradients (the
+        # grad objective's teacher) are taken once per pair, outside the search
+        cfg = ExperimentConfig(
+            dataset="blobs:classes=4,dim=64,n=400,seed=3,image=1", arch="lenet-conv4",
+            sparsities=(0.9,), repeats=2, seed=0, out_dir=str(tmp_path), sanity=True,
+            search=SearchConfig(steps=2, objective="grad", batch_size=16),
+            train=TrainConfig(steps=6, batch_size=16, rewind_step=2))
+        rewound, searching, passes = [], [], []
+        real_search, real_grads = search.search_phase, obj.teacher_layer_grads
+
+        def search_phase(model, *args):
+            rewound.append(model)
+            searching.append(True)
+            try:
+                return real_search(model, *args)
+            finally:
+                searching.pop()
+
+        def teacher_layer_grads(model, x, y):
+            if not searching and any(model is m for m in rewound):
+                passes.append(len(rewound))
+            return real_grads(model, x, y)
+
+        monkeypatch.setattr(search, "search_phase", search_phase)
+        monkeypatch.setattr(obj, "teacher_layer_grads", teacher_layer_grads)
+        records, failures = run_experiment(cfg)
+        assert not failures and len(records) == 6
+        assert passes == [1, 2]
+
     def test_rerun_of_ablations_draws_once(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = _exp_cfg(out, sanity=True)
@@ -494,6 +528,27 @@ class TestCli:
         assert cli_main(["sweep", "--kappa", "0.1"]) == 2
         assert cli_main(["sanity", "--sanity"]) == 2
         assert cli_main(["search", "--arch", "lenet-c4"]) == 2
+
+    def test_empty_ticket_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("trained before the kappa check")
+
+        for module in (search, experiment, baselines):
+            monkeypatch.setattr(module, "train", no_train)
+        # d = 12 on tiny-mlp, so kappa 0.02 keeps round(0.24) == 0 entries
+        common = ["--dataset", DATASET, "--arch", "tiny-mlp", "--out", str(tmp_path / "out")]
+        for argv in (["search", "--kappa", "0.02"],
+                     ["baseline", "--method", "snip", "--kappa", "0.02"],
+                     ["baseline", "--method", "ltr", "--kappa", "0.02"]):
+            assert cli_main(argv + common) == 2
+            err = capsys.readouterr().err.strip()
+            assert "empty ticket" in err and len(err.splitlines()) == 1
+            assert "Traceback" not in err
+        # a sweep records the cell as failed, still before any training
+        assert cli_main(["sweep", "--sparsities", "0.98", "--sanity"] + common) == 1
+        failures = json.loads((tmp_path / "out" / "failures.json").read_text())
+        assert "cts_s0.98_r0" in failures
+        assert all("empty ticket" in err for err in failures.values())
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

@@ -275,6 +275,10 @@ class TestHardMaskPath:
         leaves = [Tensor(w, requires_grad=True) for w in model.layer_views(mask)]
         tracked = obj.evaluate(tag, model, x, y, overlay=leaves)
         assert hard_value(tag, model, x, y, mask) == tracked.item()
+        # and with the dense model's teacher pass handed in, as a caller that
+        # scores several masks on one batch does
+        teacher = obj.teacher_pass(tag, model, x, y)
+        assert hard_value(tag, model, x, y, mask, teacher=teacher) == tracked.item()
 
     def test_grad_runs_no_unread_teacher_forward(self, monkeypatch):
         # the student forward and the teacher's gradient forward; no teacher trace

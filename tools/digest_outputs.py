@@ -18,8 +18,10 @@ Hashed:
   nets), SynFlow surrogate scores and a 5-iteration SynFlow prune;
 - `run_cts` at the benchmark's pipeline settings (seeds 1 and 2, pipelines 0
   and 1): ticket, final params, search logits, objective at draw, test logits;
-- the `lenet-sweep` sanity, SNIP and LTR suite (seeds 3 and 4): its
-  `metrics.csv` and `layers.csv`.
+- the sanity, SNIP and LTR suites of `lenet-sweep` and `resnet-grad-search`
+  at the benchmark's suite settings (seeds 3 and 4): their `metrics.csv` and
+  `layers.csv`;
+- a `tiny-mlp` brute-force oracle table with `kl` (220 masks).
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from cts import baselines, mask as mk, objectives as obj  # noqa: E402
 from cts.data import load_dataset  # noqa: E402
 from cts.experiment import ExperimentConfig, run_experiment  # noqa: E402
 from cts.models import (ARCHS, TrainConfig, build_model, default_input_shape,  # noqa: E402
-                        default_num_classes, forward)
+                        default_num_classes, forward, train)
+from cts.oracle import brute_force_oracle  # noqa: E402
 from cts.search import SearchConfig, run_cts  # noqa: E402
 
 VECTOR_BLOBS = "blobs:classes=4,dim=20,n=2000,seed={seed},separation=4"
@@ -51,6 +54,11 @@ PIPELINES = [("mlp-2x256", VECTOR_BLOBS, "kl", 0.05, 150, 30, 5, 64),
              ("resnet-tiny", IMAGE_BLOBS, "grad", 0.05, 12, 12, 4, 32),
              ("lenet-conv4", IMAGE_BLOBS, "kl", 0.02, 20, 60, 10, 32),
              ("lenet-conv4", IMAGE_BLOBS, "grad", 0.02, 20, 60, 10, 32)]
+
+# perfbench's sweep suites: workload, arch, objective, sparsity, repeats, search
+# steps, train steps, rewind step, batch, LTR repeats
+SUITES = [("lenet-sweep", "lenet-conv4", "kl", 0.98, 3, 20, 60, 10, 32, 2),
+          ("resnet-grad-search", "resnet-tiny", "grad", 0.5, 1, 1, 4, 2, 32, 1)]
 
 
 def sha(*values) -> str:
@@ -126,24 +134,36 @@ def pipeline_digests():
 
 def sweep_digests():
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in (3, 4):
-            base = ExperimentConfig(
-                dataset=IMAGE_BLOBS.format(seed=seed), arch="lenet-conv4", method="cts",
-                sparsities=(0.98,), repeats=3, seed=seed, workers=1,
-                search=SearchConfig(steps=20, objective="kl", batch_size=32),
-                train=TrainConfig(steps=60, rewind_step=10, batch_size=32))
-            sweeps = {"sanity": dict(sanity=True), "snip": dict(method="snip"),
-                      "ltr": dict(method="ltr", repeats=2)}
-            for label, changes in sweeps.items():
-                out = Path(tmp) / f"{label}-s{seed}"
-                run_experiment(replace(base, **changes, out_dir=str(out)))
-                for csv in ("metrics.csv", "layers.csv"):
-                    yield f"lenet-sweep s{seed} {label} {csv}", sha((out / csv).read_bytes())
+        for (name, arch, objective, sparsity, repeats, steps, train_steps, rewind, batch,
+             ltr_repeats) in SUITES:
+            for seed in (3, 4):
+                base = ExperimentConfig(
+                    dataset=IMAGE_BLOBS.format(seed=seed), arch=arch, method="cts",
+                    sparsities=(sparsity,), repeats=repeats, seed=seed, workers=1,
+                    search=SearchConfig(steps=steps, objective=objective, batch_size=batch),
+                    train=TrainConfig(steps=train_steps, rewind_step=rewind, batch_size=batch))
+                sweeps = {"sanity": dict(sanity=True), "snip": dict(method="snip"),
+                          "ltr": dict(method="ltr", repeats=ltr_repeats)}
+                for label, changes in sweeps.items():
+                    out = Path(tmp) / f"{name}-{label}-s{seed}"
+                    run_experiment(replace(base, **changes, out_dir=str(out)))
+                    for csv in ("metrics.csv", "layers.csv"):
+                        yield f"{name} s{seed} {label} {csv}", sha((out / csv).read_bytes())
+
+
+def oracle_digests():
+    data = load_dataset("blobs:classes=2,dim=4,n=400,seed=3")
+    model = build_model("tiny-mlp", 0, data.input_shape, data.num_classes)
+    model = train(model, data, TrainConfig(steps=60, batch_size=32, seed=0), stop_step=20)
+    best, table = brute_force_oracle(model, data.eval_batch(seed=0), 3 / 12, "kl")
+    rows = [(np.asarray(idx), value) for idx, value in table]
+    yield "oracle tiny-mlp kl table", sha(best.mask, *(v for row in rows for v in row))
 
 
 def main() -> None:
     overall = hashlib.sha256()
-    for part in (objective_digests, pruner_digests, pipeline_digests, sweep_digests):
+    for part in (objective_digests, pruner_digests, pipeline_digests, sweep_digests,
+                 oracle_digests):
         for name, digest in part():
             line = f"{digest}  {name}"
             overall.update(line.encode() + b"\n")
