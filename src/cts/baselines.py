@@ -1,9 +1,7 @@
-"""Comparator pruners and sanity-check ablations.
+"""Comparator pruners and the layerwise mask shuffle of the sanity checks.
 
 Includes the saliency family (SNIP, GraSP, SynFlow), magnitude and random
-pruning, the iterative train/prune/rewind loop, the noisy-overlay scoring
-procedure for teacher-comparing objectives, and mask ablations (layerwise
-shuffle, reinitialization, score inversion).
+pruning, and the iterative train/prune/rewind loop.
 """
 
 from __future__ import annotations
@@ -15,11 +13,9 @@ import numpy as np
 from . import objectives as obj
 from . import tensor as T
 from .data import Dataset
-from .mask import Ticket, invert_clamp, ticket_size, topk_mask
+from .mask import Ticket, ticket_size, topk_mask
 from .models import BatchNorm, ModelState, ResBlock, TrainConfig, build_model, forward, train
-from .tensor import Tensor
 
-NOISY_OVERLAY_SIGMA = 6e-2
 SALIENCY_BATCH_FACTOR = 10  # scoring batch is 10x the training batch size
 
 
@@ -108,28 +104,6 @@ def _check_layer_collapse(model: ModelState, mask: np.ndarray) -> None:
             raise BaselineError(f"layer collapse: '{name}' fully pruned")
 
 
-def noisy_overlay_scores(model: ModelState, batch, objective: str,
-                         sigma_noise: float = NOISY_OVERLAY_SIGMA,
-                         seed: int = 0) -> np.ndarray:
-    """Scores for teacher-comparing objectives via a jittered identity overlay.
-
-    With the exact identity overlay these objectives are exactly optimal and
-    all gradients vanish, so a small Gaussian jitter is applied first. Noise
-    is fixed per scoring call. Scores are gradient magnitudes.
-    """
-    kind = obj.get_kind(objective)
-    if not kind.needs_teacher:
-        raise BaselineError("noisy-overlay scoring requires a teacher-comparing objective")
-    x, y = batch
-    rng = np.random.default_rng(np.random.SeedSequence([41, seed]))
-    s = 1.0 + sigma_noise * rng.standard_normal(model.d)
-    if sigma_noise == 0.0:
-        return np.zeros(model.d)
-    leaves = [Tensor(piece, requires_grad=True) for piece in model.layer_views(s)]
-    value = obj.evaluate(objective, model, x, y, overlay=leaves)
-    return np.abs(np.concatenate([g.data.reshape(-1) for g in T.grad(value, leaves)]))
-
-
 def prune_by_scores(scores: np.ndarray, kappa: float, layout=()) -> Ticket:
     """Keep the top round(kappa*d) entries by score."""
     return Ticket(mask=topk_mask(scores, kappa), layout=list(layout))
@@ -170,30 +144,15 @@ def run_ltr(cfg: LtrConfig, arch: str, data: Dataset):
     return results, model_k
 
 
-def sanity_ablate(ticket: Ticket, kind: str, model: ModelState, seed: int,
-                  distribution=None):
-    """Mask/weight ablations: shuffle_layerwise, reinit, invert.
-
-    shuffle permutes mask bits within each layer (per-layer density exact);
-    reinit redraws the model with a new seed under the same ticket; invert
-    clamps the stored distribution to the least probable entries.
-    """
-    if kind == "shuffle_layerwise":
-        if not ticket.layout:
-            raise BaselineError("shuffle needs a ticket with a layer layout")
-        rng = np.random.default_rng(np.random.SeedSequence([47, seed]))
-        new_mask = ticket.mask.copy()
-        off = 0
-        for _, sz in ticket.layout:
-            seg = new_mask[off:off + sz]
-            new_mask[off:off + sz] = rng.permutation(seg)
-            off += sz
-        return Ticket(mask=new_mask, layout=list(ticket.layout))
-    if kind == "reinit":
-        return build_model(model.arch, seed, model.input_shape, model.num_classes)
-    if kind == "invert":
-        if distribution is None:
-            raise BaselineError("invert requires the stored mask distribution")
-        kappa = ticket.density
-        return invert_clamp(distribution, kappa)
-    raise BaselineError(f"unknown ablation kind '{kind}'")
+def shuffle_layerwise(ticket: Ticket, seed: int) -> Ticket:
+    """Permute the mask bits within each layer, so per-layer density is exact."""
+    if not ticket.layout:
+        raise BaselineError("shuffle needs a ticket with a layer layout")
+    rng = np.random.default_rng(np.random.SeedSequence([47, seed]))
+    new_mask = ticket.mask.copy()
+    off = 0
+    for _, sz in ticket.layout:
+        seg = new_mask[off:off + sz]
+        new_mask[off:off + sz] = rng.permutation(seg)
+        off += sz
+    return Ticket(mask=new_mask, layout=list(ticket.layout))

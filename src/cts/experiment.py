@@ -104,10 +104,12 @@ def _cell_seeds(base_seed: int, rep: int) -> int:
 class CellGroup:
     """What the cells of one (sparsity, repeat) pair share while their job
     runs: the dataset, loaded on first use, and the base cell's draw, the
-    ``(ticket, final, info)`` of its ``run_cts``. Sanity ablations start from
-    that draw instead of repeating it."""
+    ``(ticket, final, info)`` of its ``run_cts``, or the exception it raised.
+    Sanity ablations start from that draw, or fail with that exception,
+    instead of repeating it."""
     dataset: str
     draw: tuple | None = None
+    error: Exception | None = None
 
     @cached_property
     def data(self) -> Dataset:
@@ -119,9 +121,9 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
     """Execute one (method, sparsity, repeat) cell. Pure given the config.
 
     A cts cell draws its ticket with ``run_cts`` unless ``group`` already
-    holds the pair's draw, and leaves its draw there for the next cell. A
-    sparsity that leaves an empty ticket raises ``MaskError`` before any
-    training.
+    holds the pair's draw or its error, and leaves either there for the next
+    cell. A sparsity that leaves an empty ticket raises ``MaskError`` before
+    any training.
     """
     group = group or CellGroup(cfg.dataset)
     data = group.data
@@ -137,8 +139,14 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
         scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa,
                                "seed_init": seed, "seed_search": seed + 1,
                                "seed_train": seed + 2})
+        if group.error is not None:
+            raise group.error
         if group.draw is None:
-            group.draw = run_cts(scfg, cfg.arch, data, tcfg)
+            try:
+                group.draw = run_cts(scfg, cfg.arch, data, tcfg)
+            except Exception as e:
+                group.error = e
+                raise
         ticket, final, info = group.draw
         if variant:
             ticket, final = _apply_ablation(variant, ticket, info, data, tcfg, seed)
@@ -172,16 +180,17 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
 
 
 def _apply_ablation(variant, ticket, info, data, tcfg, seed):
-    rewind = info["rewind_model"]
+    """The sanity ablations: ``shuffle`` permutes the ticket's bits within
+    each layer, ``invert`` clamps the stored distribution to its least
+    probable entries, and ``reinit`` retrains the ticket from a model drawn
+    with a new seed."""
+    model = info["rewind_model"]
     if variant == "shuffle":
-        ticket = bl.sanity_ablate(ticket, "shuffle_layerwise", rewind, seed + 7)
-        model = rewind
+        ticket = bl.shuffle_layerwise(ticket, seed + 7)
     elif variant == "invert":
-        ticket = bl.sanity_ablate(ticket, "invert", rewind, seed + 7,
-                                  distribution=info["distribution"])
-        model = rewind
+        ticket = mk.invert_clamp(info["distribution"], ticket.density)
     elif variant == "reinit":
-        model = bl.sanity_ablate(ticket, "reinit", rewind, seed + 7)
+        model = build_model(model.arch, seed + 7, model.input_shape, model.num_classes)
     else:
         raise ExperimentError(f"unknown sanity variant '{variant}'")
     final = train(model, data, tcfg, mask=ticket.mask, start_step=tcfg.rewind_step)

@@ -10,8 +10,6 @@ maskable weight, in that weight's shape.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,9 +164,6 @@ class ModelState:
         for (name, _, _), m in zip(self.maskable_index, self.layer_views(mask)):
             out.params[name][m == 0] = 0.0
         return out
-
-    def param_names(self) -> list[str]:
-        return sorted(self.params.keys())
 
 
 def _flatten_specs(specs) -> list:
@@ -388,49 +383,3 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
                 out.params[n] = out.params[n] * lm
     return out
 
-
-# -- checkpoint container -----------------------------------------------------
-# Layout (little-endian):
-#   magic b"CTSCKPT1", uint32 header length, UTF-8 JSON header
-#   {arch, seed, step, num_classes, input_shape, names: [(name, shape)...]}
-#   then for each name in header order: float64 LE param values,
-#   then for each name in header order: float64 LE momentum values.
-
-_MAGIC = b"CTSCKPT1"
-
-
-def save_checkpoint(path, model: ModelState, step: int = 0,
-                    momentum: dict[str, np.ndarray] | None = None) -> None:
-    names = model.param_names()
-    header = json.dumps({
-        "arch": model.arch, "seed": model.seed, "step": step,
-        "num_classes": model.num_classes, "input_shape": list(model.input_shape),
-        "names": [[n, list(model.params[n].shape)] for n in names],
-    }).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for n in names:
-            f.write(model.params[n].astype("<f8").tobytes())
-        for n in names:
-            buf = momentum[n] if momentum is not None else np.zeros_like(model.params[n])
-            f.write(buf.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> tuple[ModelState, int, dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ModelError(f"{path}: bad checkpoint magic")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        model = build_model(header["arch"], header["seed"],
-                            tuple(header["input_shape"]), header["num_classes"])
-        for name, shape in header["names"]:
-            n = int(np.prod(shape))
-            model.params[name] = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape).copy()
-        momentum = {}
-        for name, shape in header["names"]:
-            n = int(np.prod(shape))
-            momentum[name] = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape).copy()
-    return model, int(header["step"]), momentum

@@ -2,7 +2,7 @@
 
 Covers exactly the op set the small models and pruning objectives need:
 elementwise arithmetic with broadcasting, matmul, 2-D convolution, batch
-norm, relu, sigmoid, exp/log, log-softmax, reductions, slicing/concat and the
+norm, relu, exp/log, log-softmax, reductions, slicing/concat and the
 L2 norm. Every backward rule is itself composed of these primitives, so
 gradients can be differentiated again (needed when an objective is a function
 of a gradient, and for Hessian-vector products). Convolution's two adjoints,
@@ -18,10 +18,10 @@ through batch norm raises GraphError. Average pooling is one node too:
 ``avg_pool2d`` and ``avg_pool2d_grad`` are each other's adjoints, and the
 forward adds each block in the order of the reshape-and-sum it replaces.
 
-Every node's output is checked to be finite (NonFiniteError names the op),
-unless ``finite_checks(False)``. One call decides it, the sum of squares,
-unless that sum overflows; the check stays per node, because a later op can
-absorb a non-finite value (relu(-inf) = 0).
+Every node's output is checked to be finite (NonFiniteError names the op).
+One call decides it, the sum of squares, unless that sum overflows; the
+check stays per node, because a later op can absorb a non-finite value
+(relu(-inf) = 0).
 
 Importing this module sets glibc's allocator policy for the process
 (``_keep_freed_heap``). A graph pass over a large batch, such as
@@ -42,7 +42,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 _grad_enabled = True
-_finite_checks = True
 
 _M_TRIM_THRESHOLD = -1           # glibc malloc.h
 _M_MMAP_THRESHOLD = -3
@@ -109,17 +108,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-@contextlib.contextmanager
-def finite_checks(enabled: bool):
-    global _finite_checks
-    prev = _finite_checks
-    _finite_checks = enabled
-    try:
-        yield
-    finally:
-        _finite_checks = prev
 
 
 class Tensor:
@@ -242,7 +230,7 @@ def _all_finite(data: np.ndarray) -> bool:
 
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if _finite_checks and not _all_finite(data):
+    if not _all_finite(data):
         raise NonFiniteError(op)
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     if not requires:
@@ -333,18 +321,6 @@ def relu(a) -> Tensor:
         return (mul(g, Tensor((a.data > 0).astype(a.data.dtype))),)
 
     return _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    out = stable_sigmoid(a.data)
-
-    def vjp(g):
-        # recompute through the graph so double-backward stays exact
-        s = sigmoid(a)
-        return (mul(g, mul(s, add(1.0, neg(s)))),)
-
-    return _make(out, "sigmoid", (a,), vjp)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -485,10 +461,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     z = a - broadcast_to(shift, a.shape)
     lse = log(sum_(exp(z), axis=axis, keepdims=True))
     return z - broadcast_to(lse, a.shape)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    return exp(log_softmax(a, axis=axis))
 
 
 def l2_norm(a) -> Tensor:
@@ -830,22 +802,3 @@ def grad(root: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> lis
     gmap = backward(root, wrt=wrt, create_graph=create_graph)
     return [gmap[id(t)] for t in wrt]
 
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2 * h)
-    return g

@@ -13,12 +13,12 @@ import pytest
 
 import cts.objectives as obj
 import cts.tensor as T
-from cts.baselines import (LtrConfig, prune_by_scores, run_ltr, sanity_ablate,
+from cts.baselines import (LtrConfig, prune_by_scores, run_ltr, shuffle_layerwise,
                            snip_scores)
 from cts.controllers import ControllerState, gradbalance_step
 from cts.data import make_blobs
 from cts.experiment import ExperimentConfig, run_experiment
-from cts.mask import (init_distribution, sample_logistic, soft_mask,
+from cts.mask import (init_distribution, invert_clamp, sample_logistic, soft_mask,
                       sparsity_loss_grad, step_rng)
 from cts.models import TrainConfig, build_model, evaluate, forward, train
 from cts.oracle import brute_force_oracle
@@ -258,10 +258,9 @@ def test_criterion_8_sanity_separation():
         acc["cts"].append(evaluate(final, data.x_test, data.y_test)[0])
         for kind in ("shuffle", "invert"):
             if kind == "shuffle":
-                tk = sanity_ablate(ticket, "shuffle_layerwise", model_k, seed + 7)
+                tk = shuffle_layerwise(ticket, seed + 7)
             else:
-                tk = sanity_ablate(ticket, "invert", model_k, seed + 7,
-                                   distribution=dist)
+                tk = invert_clamp(dist, ticket.density)
             m = model_k.copy()
             v = m.maskable_vector()
             v[tk.mask == 0] = 0.0
@@ -284,8 +283,7 @@ def test_criterion_8_sanity_separation():
                            lr=0.03)
         ticket, final, info = run_cts(cfg, "lenet-conv4", data, tcfg)
         base_accs.append(evaluate(final, data.x_test, data.y_test)[0])
-        reinit = sanity_ablate(ticket, "reinit", info["rewind_model"],
-                               seed=seed + 777)
+        reinit = build_model("lenet-conv4", seed + 777, data.input_shape, data.num_classes)
         v = reinit.maskable_vector()
         v[ticket.mask == 0] = 0.0
         reinit.set_maskable_vector(v)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import cts.tensor as T
-from cts.baselines import (NOISY_OVERLAY_SIGMA, BaselineError, LtrConfig,
-                           grasp_scores, magnitude_prune, noisy_overlay_scores,
-                           prune_by_scores, random_prune, run_ltr, sanity_ablate,
+from cts.baselines import (BaselineError, LtrConfig, grasp_scores, magnitude_prune,
+                           prune_by_scores, random_prune, run_ltr, shuffle_layerwise,
                            snip_scores, synflow_prune)
 from cts.data import make_blobs
 from cts.mask import MaskDistribution, MaskError, clamp_topk, invert_clamp, ticket_size
@@ -164,28 +163,6 @@ class TestSimpleBaselines:
         assert a.mask.sum() == 30
 
 
-class TestNoisyOverlay:
-    def test_zero_sigma_returns_zero_scores(self):
-        model = _model()
-        s = noisy_overlay_scores(model, _batch(), "kl", sigma_noise=0.0)
-        assert np.all(s == 0)
-
-    def test_nonzero_and_deterministic(self):
-        model = _model()
-        a = noisy_overlay_scores(model, _batch(), "kl", seed=3)
-        b = noisy_overlay_scores(model, _batch(), "kl", seed=3)
-        np.testing.assert_array_equal(a, b)
-        assert np.any(a != 0)
-        assert np.all(a >= 0)
-
-    def test_default_sigma(self):
-        assert NOISY_OVERLAY_SIGMA == pytest.approx(6e-2)
-
-    def test_requires_teacher_objective(self):
-        with pytest.raises(BaselineError):
-            noisy_overlay_scores(_model(), _batch(), "loss")
-
-
 class TestLtr:
     def test_density_schedule_and_nesting(self):
         data = _data()
@@ -220,14 +197,14 @@ class TestSanityAblations:
         return magnitude_prune(model, 0.5), model
 
     def test_shuffle_preserves_per_layer_density(self):
-        ticket, model = self._ticket()
-        shuffled = sanity_ablate(ticket, "shuffle_layerwise", model, seed=0)
+        ticket, _ = self._ticket()
+        shuffled = shuffle_layerwise(ticket, seed=0)
         assert shuffled.per_layer_density() == ticket.per_layer_density()
         assert not np.array_equal(shuffled.mask, ticket.mask)
 
     def test_reinit_changes_weights(self):
         ticket, model = self._ticket()
-        reinit = sanity_ablate(ticket, "reinit", model, seed=99)
+        reinit = build_model(model.arch, 99, model.input_shape, model.num_classes)
         assert reinit.arch == model.arch
         assert not np.array_equal(reinit.maskable_vector(), model.maskable_vector())
 
@@ -236,19 +213,9 @@ class TestSanityAblations:
         rng = np.random.default_rng(0)
         dist = MaskDistribution(rng.standard_normal(12), 2 / 3)
         ticket = clamp_topk(dist, 0.5)
-        inv = sanity_ablate(ticket, "invert", _model(), seed=0, distribution=dist)
+        inv = invert_clamp(dist, ticket.density)
         assert np.all(ticket.mask + inv.mask <= 1)
         assert inv.mask.sum() == ticket.mask.sum()
-
-    def test_invert_requires_distribution(self):
-        ticket, model = self._ticket()
-        with pytest.raises(BaselineError):
-            sanity_ablate(ticket, "invert", model, seed=0)
-
-    def test_unknown_kind(self):
-        ticket, model = self._ticket()
-        with pytest.raises(BaselineError):
-            sanity_ablate(ticket, "scramble", model, seed=0)
 
 
 class TestOneCut:

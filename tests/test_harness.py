@@ -326,6 +326,20 @@ class TestExperiment:
         assert len(records) == 2 * (4 if rewind_step == 0 else 3)
         assert sorted(draws()) == ["0", "1"]  # one draw per repeat, seeds 0 and 1
 
+    def test_failed_draw_is_not_repeated(self, tmp_path, monkeypatch):
+        cfg = _exp_cfg(tmp_path / "out", repeats=2, sanity=True)
+        cfg.sparsities = (0.999,)  # round(kappa * d) == 0: empty ticket
+        cfg.train.rewind_step = 0
+        draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
+        records, failures = run_experiment(cfg)
+        assert records == []
+        assert sorted(draws()) == ["0", "1"]  # one failing draw per pair
+        for r in (0, 1):
+            error = failures[f"cts_s0.999_r{r}"]
+            assert error.startswith("MaskError: ")
+            for v in ("shuffle", "invert", "reinit"):
+                assert failures[f"cts+{v}_s0.999_r{r}"] == error
+
     @pytest.mark.parametrize("rewind_step", [10, 0])
     def test_shared_draw_matches_unshared(self, tmp_path, monkeypatch, rewind_step):
         real_cts, draws = experiment.run_cts, []

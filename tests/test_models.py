@@ -1,4 +1,4 @@
-"""Model construction, masked forward, training, and checkpoint tests."""
+"""Model construction, masked forward and training tests."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ import cts.objectives as obj
 import cts.tensor as T
 from cts.data import make_blobs
 from cts.models import (ARCHS, AvgPool, BatchNorm, ModelError, ModelState, TrainConfig,
-                        _flatten_specs, build_model, evaluate, forward,
-                        load_checkpoint, save_checkpoint, train)
+                        _flatten_specs, build_model, evaluate, forward, train)
 
 
 def small_data(image=False, dim=8, classes=2, n=400, seed=3):
@@ -287,27 +286,3 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(steps=10, rewind_step=10)
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        model = build_model("tiny-mlp", 3, (4,), 2)
-        momentum = {k: np.random.default_rng(0).standard_normal(v.shape)
-                    for k, v in model.params.items()}
-        path = tmp_path / "ck.bin"
-        save_checkpoint(path, model, step=17, momentum=momentum)
-        loaded, step, mom = load_checkpoint(path)
-        assert step == 17
-        assert loaded.arch == model.arch
-        for k in model.params:
-            np.testing.assert_array_equal(loaded.params[k], model.params[k])
-            np.testing.assert_array_equal(mom[k], momentum[k])
-
-    def test_corrupt_magic_rejected(self, tmp_path):
-        model = build_model("tiny-mlp", 3, (4,), 2)
-        path = tmp_path / "ck.bin"
-        save_checkpoint(path, model)
-        raw = bytearray(path.read_bytes())
-        raw[0] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ModelError):
-            load_checkpoint(path)

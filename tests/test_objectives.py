@@ -182,11 +182,16 @@ class TestAlphaGradients:
             obj.get_kind("entropy")
 
 
+def _sigmoid(t):
+    """1 / (1 + exp(-t)) composed from tracked primitives."""
+    return T.power(T.add(1.0, T.exp(T.neg(t))), -1.0)
+
+
 def _tracked_chain(tag, model, x, y, logits, eps, tau):
     """Reference: the logits as leaf, with the soft mask built by tracked ops
     and cut into per-layer pieces in the graph."""
     leaf = Tensor(logits, requires_grad=True)
-    s = T.sigmoid(T.mul(T.add(leaf, Tensor(eps)), 1.0 / tau))
+    s = _sigmoid(T.mul(T.add(leaf, Tensor(eps)), 1.0 / tau))
     pieces = [T.reshape(T.narrow(s, slice(off, off + sz)), model.params[name].shape)
               for name, off, sz in model.maskable_index]
     value = obj.evaluate(tag, model, x, y, overlay=pieces)

@@ -9,10 +9,33 @@ import numpy as np
 import pytest
 
 import cts.tensor as T
-from cts.tensor import (GraphError, NonFiniteError, ShapeError, Tensor, backward,
-                        finite_diff_grad, grad, no_grad)
+from cts.tensor import GraphError, NonFiniteError, ShapeError, Tensor, backward, grad, no_grad
 
 RNG = np.random.default_rng(0)
+
+
+def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gf = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f(x)
+        flat[i] = orig - h
+        fm = f(x)
+        flat[i] = orig
+        gf[i] = (fp - fm) / (2 * h)
+    return g
+
+
+def _sigmoid(t):
+    """1 / (1 + exp(-t)) composed from tracked primitives."""
+    return T.power(T.add(1.0, T.exp(T.neg(t))), -1.0)
 
 
 def _fd_check(f, x, tol=1e-6):
@@ -38,14 +61,6 @@ class TestElementwise:
         x = np.abs(RNG.standard_normal(5)) + 0.5
         _fd_check(lambda t: T.sum_(T.exp(t)), x)
         _fd_check(lambda t: T.sum_(T.log(t)), x)
-
-    def test_sigmoid_matches_closed_form(self):
-        x = Tensor(np.array([-800.0, -1.0, 0.0, 1.0, 800.0]), requires_grad=True)
-        s = T.sigmoid(x)
-        assert np.all(np.isfinite(s.data))
-        (g,) = grad(T.sum_(s), [x])
-        expected = s.data * (1 - s.data)
-        np.testing.assert_allclose(g.data, expected, rtol=1e-12)
 
     def test_relu_grad_zero_at_zero(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
@@ -153,7 +168,7 @@ class TestShapes:
 class TestSoftmax:
     def test_softmax_rows_sum_to_one(self):
         x = RNG.standard_normal((6, 10)) * 5
-        s = T.softmax(Tensor(x))
+        s = T.exp(T.log_softmax(Tensor(x)))
         np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(6), rtol=1e-12)
 
     def test_log_softmax_shift_invariance(self):
@@ -303,7 +318,7 @@ class TestSecondOrder:
     def test_sigmoid_second_order(self):
         x = RNG.standard_normal(5)
         leaf = Tensor(x, requires_grad=True)
-        (g,) = grad(T.sum_(T.sigmoid(leaf)), [leaf], create_graph=True)
+        (g,) = grad(T.sum_(_sigmoid(leaf)), [leaf], create_graph=True)
         (h,) = grad(T.sum_(g), [leaf])
         s = 1 / (1 + np.exp(-x))
         np.testing.assert_allclose(h.data, s * (1 - s) * (1 - 2 * s), rtol=1e-9)
@@ -660,11 +675,6 @@ class TestGraphSemantics:
                              ids=["empty", "empty-2d", "0-d"])
     def test_finite_check_passes_empty_and_scalar(self, x):
         np.testing.assert_array_equal(T.neg(Tensor(x)).data, -x)
-
-    def test_finite_checks_can_be_disabled(self):
-        with T.finite_checks(False):
-            out = T.log(Tensor(np.array([0.0])))
-        assert np.isneginf(out.data[0])
 
 
 class TestFiniteDiffHelper:
