@@ -50,7 +50,7 @@ def grasp_scores(model: ModelState, batch) -> np.ndarray:
     leaves = obj.maskable_leaves(model)
     grads = obj.loss_grads(model, x, y, param_tensors=leaves, create_graph=True)
     g_dot_g = sum(T.sum_(T.mul(g, g.detach())) for g in grads)
-    hg = np.concatenate([h.data.reshape(-1) for h in T.grad(g_dot_g, list(leaves.values()))])
+    hg = np.concatenate([h.data.reshape(-1) for h in T.backward(g_dot_g, list(leaves.values()))])
     return -(hg * model.maskable_vector())
 
 
@@ -69,7 +69,7 @@ def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.nda
     x = np.ones((1,) + abs_model.input_shape)
     leaves = obj.maskable_leaves(abs_model)
     total = T.sum_(forward(abs_model, x, param_tensors=leaves).logits)
-    g = np.concatenate([h.data.reshape(-1) for h in T.grad(total, list(leaves.values()))])
+    g = np.concatenate([h.data.reshape(-1) for h in T.backward(total, list(leaves.values()))])
     return g * abs_model.maskable_vector()
 
 

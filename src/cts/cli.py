@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: search (one ticket search run), baseline (one comparator run),
-sweep (full grid), sanity (ablation suite), oracle (brute force), report
-(aggregate CSVs). Exit codes: 0 ok, 1 cell failures, 2 usage error.
+sweep (full grid), sanity (the cts grid with its shuffle, invert and reinit
+ablations; in an INI config, ``[sweep] sanity``), oracle (brute force),
+report (aggregate CSVs). Exit codes: 0 ok, 1 cell failures, 2 usage error.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=0.99)
     p.add_argument("--lambda-lr", type=float, default=0.01)
     p.add_argument("--tau", type=float, default=mk.TAU_DEFAULT)
-    p.add_argument("--quick-factor", type=float, default=1.0)
 
 
 def _search_cfg(args) -> SearchConfig:
@@ -116,7 +116,7 @@ def cmd_baseline(args) -> int:
     mk.save_ticket(out / "ticket.json", ticket, arch=args.arch, kappa=args.kappa,
                    meta={"method": record.method})
     print(f"method={record.method} density={ticket.density:.6g} "
-          f"accuracy={record.accuracy:.4f}")
+          f"accuracy={record.accuracy:.4f} objective_at_draw={record.objective_at_draw:.6g}")
     return 0
 
 
@@ -140,11 +140,6 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_sanity(args) -> int:
-    args.sanity = True
-    return cmd_sweep(args)
-
-
 def cmd_oracle(args) -> int:
     try:
         data = load_dataset(args.dataset)
@@ -152,7 +147,7 @@ def cmd_oracle(args) -> int:
         model = train(model, data, _train_cfg(args), stop_step=args.rewind_step)
         batch = data.eval_batch(seed=args.seed)
         best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
-    except (DataError, mk.MaskError, OracleError) as e:
+    except (DataError, mk.MaskError, OracleError, ValueError) as e:
         print(f"cts oracle: bad config: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)
@@ -196,19 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=[m for m in METHODS if m != "cts"])
     p.set_defaults(fn=cmd_baseline)
 
-    for name, fn in (("sweep", cmd_sweep), ("sanity", cmd_sanity)):
+    for name in ("sweep", "sanity"):
         p = sub.add_parser(name, help=f"{name} over a (method, sparsity, seed) grid")
         _add_common(p)
         _add_ticket_args(p)
         _add_search_args(p)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--method", default="cts", choices=METHODS)
+        if name == "sweep":
+            p.add_argument("--method", default="cts", choices=METHODS)
         p.add_argument("--sparsities", default="0.95")
         p.add_argument("--repeats", type=int, default=1)
         p.add_argument("--workers", type=int, default=1)
-        if name == "sweep":
-            p.add_argument("--sanity", action="store_true")
-        p.set_defaults(fn=fn)
+        # sanity has no --method: its suite is the cts cell and its ablations
+        p.set_defaults(fn=cmd_sweep, method="cts", sanity=name == "sanity")
 
     p = sub.add_parser("oracle", help="brute-force mask enumeration")
     _add_common(p)

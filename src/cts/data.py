@@ -31,12 +31,11 @@ class Dataset:
     input_shape: tuple
     num_classes: int
 
-    def batch(self, step: int, batch_size: int, seed: int,
-              split: str = "train") -> tuple[np.ndarray, np.ndarray]:
-        x, y = (self.x_train, self.y_train) if split == "train" else (self.x_test, self.y_test)
+    def batch(self, step: int, batch_size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Training batch ``step`` of the stream ``seed``."""
         rng = np.random.default_rng(np.random.SeedSequence([23, seed, step]))
-        idx = rng.choice(len(x), size=min(batch_size, len(x)), replace=False)
-        return x[idx], y[idx]
+        idx = rng.choice(len(self.x_train), size=min(batch_size, len(self.x_train)), replace=False)
+        return self.x_train[idx], self.y_train[idx]
 
     def eval_batch(self, n: int = 256, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """A fixed evaluation batch (deterministic given seed)."""

@@ -410,7 +410,7 @@ _CONFIG_KEYS = {
                      "out": str, "workers": int, "sanity": _boolean}),
     "search": ("search", {"objective": str, "controller": str, "steps": int, "eta": float,
                           "lambda_lr": float, "tau": float, "alpha_lr": float,
-                          "batch_size": int, "quick_factor": float}),
+                          "batch_size": int}),
     "train": ("train", {"steps": int, "batch_size": int, "lr": float, "momentum": float,
                         "weight_decay": float, "rewind_step": int, "lr_drops": _lr_drops}),
     "ltr": (None, {"prune_fraction": float}),

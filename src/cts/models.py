@@ -355,7 +355,7 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
 
     bad_steps = 0
     for step in range(start_step, stop):
-        xb, yb = data.batch(step, cfg.batch_size, cfg.seed, split="train")
+        xb, yb = data.batch(step, cfg.batch_size, cfg.seed)
         try:
             leaves = {n: Tensor(out.params[n], requires_grad=True) for n in names}
             trace = forward(out, xb, yb, param_tensors=leaves)
@@ -367,8 +367,8 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
                 raise DivergenceError(f"non-finite loss for {bad_steps} consecutive steps")
             continue
         lr = cfg.lr_at(step)
-        for n in names:
-            g = grads[id(leaves[n])].data.copy()
+        for n, gn in zip(names, grads):
+            g = gn.data.copy()
             lm = layer_masks.get(n)
             if cfg.weight_decay and _decayable(n):
                 decay = cfg.weight_decay * out.params[n]

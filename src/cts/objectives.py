@@ -70,10 +70,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 # -- the six objectives, on traces / gradient lists ---------------------------
 
-def task_loss(student: ForwardTrace) -> Tensor:
-    return student.loss
-
-
 def rel_loss_change(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
     t = teacher.loss.item()
     if t < 1e-12:
@@ -90,12 +86,12 @@ def reverse_kl(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
     return T.mean(per_example)
 
 
-def feature_match(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
-    if len(student.features) != len(teacher.features):
-        raise ObjectiveError(
-            f"feature layer count mismatch: {len(student.features)} vs {len(teacher.features)}")
-    terms = [mse(normalize(fs), normalize(Tensor(ft.data)))
-             for fs, ft in zip(student.features, teacher.features)]
+def layer_match(student: list[Tensor], teacher: list[np.ndarray]) -> Tensor:
+    """Layer mean of mse(normalize(s), normalize(t)): the feature objective
+    on each layer's output, the grad objective on each layer's loss gradient."""
+    if len(student) != len(teacher):
+        raise ObjectiveError(f"layer count mismatch: {len(student)} vs {len(teacher)}")
+    terms = [mse(normalize(s), normalize(Tensor(t))) for s, t in zip(student, teacher)]
     total = terms[0]
     for t in terms[1:]:
         total = total + t
@@ -109,17 +105,6 @@ def neg_grad_norm(student_grads: list[Tensor]) -> Tensor:
         # -sum(g^2) has the same value there and gradient 0, a supergradient
         return T.neg(T.sum_(T.mul(flat, flat)))
     return T.neg(T.l2_norm(flat))
-
-
-def grad_match(student_grads: list[Tensor], teacher_grads: list[np.ndarray]) -> Tensor:
-    if len(student_grads) != len(teacher_grads):
-        raise ObjectiveError("gradient layer count mismatch")
-    terms = [mse(normalize(gs), normalize(Tensor(gt)))
-             for gs, gt in zip(student_grads, teacher_grads)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return T.mul(total, 1.0 / len(terms))
 
 
 def maskable_leaves(model: ModelState) -> dict[str, Tensor]:
@@ -136,7 +121,7 @@ def loss_grads(model: ModelState, x, y, param_tensors: dict[str, Tensor] | None 
     param_tensors = maskable_leaves(model) if param_tensors is None else param_tensors
     trace = forward(model, x, y, param_tensors=param_tensors)
     wrt = [param_tensors[name] for name, _, _ in model.maskable_index]
-    return T.grad(trace.loss, wrt, create_graph=create_graph)
+    return T.backward(trace.loss, wrt, create_graph=create_graph)
 
 
 def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
@@ -180,12 +165,12 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
     if not kind.needs_student_grads:
         student = forward(model, x, y, capture_features=tag == "feature", param_tensors=weights)
         if tag == "loss":
-            return task_loss(student)
+            return student.loss
         if tag == "dloss":
             return rel_loss_change(student, teacher)
         if tag == "kl":
             return reverse_kl(student, teacher)
-        return feature_match(student, teacher)
+        return layer_match(student.features, [f.data for f in teacher.features])
 
     if overlay is None:
         grads = [Tensor(g) for g in teacher_layer_grads(model, x, y)]
@@ -196,7 +181,7 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
                              "use hard_value for a hard mask")
     if tag == "gradnorm":
         return neg_grad_norm(grads)
-    return grad_match(grads, teacher)
+    return layer_match(grads, teacher)
 
 
 def value_and_alpha_grad(tag: str, model: ModelState, x, y,
@@ -213,7 +198,7 @@ def value_and_alpha_grad(tag: str, model: ModelState, x, y,
     r = evaluate(tag, model, x, y, overlay=leaves)
     # + 0.0 turns the -0.0 of a zero gradient at a negative weight into +0.0,
     # so that every zero entry of the result has the same sign
-    g = np.concatenate([gi.data.reshape(-1) for gi in T.grad(r, leaves)]) + 0.0
+    g = np.concatenate([gi.data.reshape(-1) for gi in T.backward(r, leaves)]) + 0.0
     return r.item(), g * (s * (1.0 - s)) * (1.0 / tau)
 
 

@@ -26,14 +26,13 @@ class SearchError(Exception):
 class SearchConfig:
     kappa: float = 0.05
     tau: float = mk.TAU_DEFAULT
-    steps: int = 1000              # S, before quick_factor
+    steps: int = 1000              # S
     objective: str = "kl"
     controller: str = "gradbalance"
     eta: float = ctl.ETA_DEFAULT
     lambda_lr: float = ctl.LAMBDA_LR_DEFAULT
     alpha_lr: float = 0.1
     batch_size: int = 64
-    quick_factor: float = 1.0      # 1, 1/2 or 1/8
     seed_init: int = 0
     seed_search: int = 1
     seed_train: int = 2
@@ -50,7 +49,9 @@ class SearchConfig:
 
     @property
     def effective_steps(self) -> int:
-        return max(1, int(round(self.steps * self.quick_factor)))
+        # an alias of ``steps`` that the benchmark still reads; it goes
+        # together with ``seed_train`` in the next benchmark change
+        return self.steps
 
 
 @dataclass
@@ -73,17 +74,16 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
     downward crossing of kappa_eff.
     """
     theta_before = model.maskable_vector().copy()
-    n_steps = cfg.effective_steps
     dist = mk.init_distribution(model.d, cfg.kappa, cfg.tau, layout=model.maskable_layout())
     state = ctl.ControllerState(mode=cfg.controller, kappa=cfg.kappa,
                                 eta=cfg.eta, lambda_lr=cfg.lambda_lr)
-    adam = ctl.search_adam(model.d, n_steps, lr=cfg.alpha_lr)
+    adam = ctl.search_adam(model.d, cfg.steps, lr=cfg.alpha_lr)
     metrics = SearchMetrics()
 
     crossed_down = False
     was_above = mk.expected_density(dist) > state.kappa_eff
-    for step in range(n_steps):
-        xb, yb = data.batch(step, cfg.batch_size, cfg.seed_search, split="train")
+    for step in range(cfg.steps):
+        xb, yb = data.batch(step, cfg.batch_size, cfg.seed_search)
         rng = mk.step_rng(cfg.seed_search, step, stream=1)
         if state.mode == "lagrange":
             g_alpha, g_lambda, r_val, _ = ctl.lagrange_step(

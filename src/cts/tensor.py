@@ -3,7 +3,10 @@
 Covers exactly the op set the small models and pruning objectives need:
 elementwise arithmetic with broadcasting, matmul, 2-D convolution, batch
 norm, relu, exp/log, log-softmax, reductions, slicing/concat and the
-L2 norm. Every backward rule is itself composed of these primitives, so
+L2 norm. Ops are module functions (``matmul``, ``sum_``, ``power``, ...); a
+Tensor spells only ``+``, binary ``-`` and ``*`` as operators. ``backward``
+returns the gradients of a scalar root for the requested tensors, as a list
+in their order. Every backward rule is itself composed of these primitives, so
 gradients can be differentiated again (needed when an objective is a function
 of a gradient, and for Hessian-vector products). Convolution's two adjoints,
 ``conv2d_input_grad`` and ``conv2d_weight_grad``, are tracked primitives
@@ -156,52 +159,11 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other, like=self)))
 
-    def __rsub__(self, other):
-        return add(other, neg(self))
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, power(_as_tensor(other, like=self), -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(other, power(self, -1.0))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return narrow(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self):
-        return transpose(self)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -737,14 +699,10 @@ def avg_pool2d_grad(g, k: int) -> Tensor:
 
 # -- backward -----------------------------------------------------------------
 
-def backward(root: Tensor, wrt: Sequence[Tensor] | None = None,
-             create_graph: bool = False) -> dict[int, Tensor]:
-    """Reverse-mode sweep from a scalar root.
-
-    Returns a map from id(tensor) to its gradient for every reachable tensor
-    that requires grad. If ``wrt`` is given, each requested tensor must be
-    tracked and reachable, and only those gradients are returned (zeros for
-    reachable-but-unused is an error only if untracked).
+def backward(root: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
+    """Reverse-mode sweep from a scalar root: the gradient of ``root`` for
+    each tensor in ``wrt``, in that order. Each must be tracked; one that
+    ``root`` does not reach gets zeros.
     """
     if root.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
@@ -784,21 +742,10 @@ def backward(root: Tensor, wrt: Sequence[Tensor] | None = None,
                 cur = grads.get(id(p))
                 grads[id(p)] = pg if cur is None else add(cur, pg)
 
-    if wrt is not None:
-        out: dict[int, Tensor] = {}
-        for t in wrt:
-            if not t.requires_grad:
-                raise GraphError("gradient requested for an untracked tensor")
-            g = grads.get(id(t))
-            if g is None:
-                g = Tensor(np.zeros(t.shape, dtype=t.data.dtype))
-            out[id(t)] = g
-        return out
-    return grads
-
-
-def grad(root: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
-    """Convenience wrapper: gradients of ``root`` for each tensor in ``wrt``."""
-    gmap = backward(root, wrt=wrt, create_graph=create_graph)
-    return [gmap[id(t)] for t in wrt]
-
+    out = []
+    for t in wrt:
+        if not t.requires_grad:
+            raise GraphError("gradient requested for an untracked tensor")
+        g = grads.get(id(t))
+        out.append(Tensor(np.zeros(t.shape, dtype=t.data.dtype)) if g is None else g)
+    return out

@@ -65,8 +65,7 @@ def test_criterion_1_gradient_correctness():
                       for k, v in model.params.items()}
             trace = forward(model, x, y, param_tensors=leaves)
             wrt = [leaves[n] for n, _, _ in model.maskable_index]
-            gmap = T.backward(trace.loss, wrt=wrt)
-            g = np.concatenate([gmap[id(t)].data.reshape(-1) for t in wrt])
+            g = np.concatenate([gt.data.reshape(-1) for gt in T.backward(trace.loss, wrt=wrt)])
 
             def loss_at(v):
                 m = model.copy()

@@ -510,13 +510,20 @@ class TestCli:
         expected = sum(ed > 1.1 * bound for ed in eds[crossed[0]:]) if crossed else 0
         assert summary["overshoot_violations"] == expected
 
-    def test_baseline_command(self, tmp_path):
-        rc = cli_main(["baseline", "--method", "magnitude", "--dataset", DATASET,
-                       "--arch", "tiny-mlp", "--kappa", "0.5", "--train-steps",
-                       "60", "--rewind-step", "10", "--batch-size", "32",
-                       "--out", str(tmp_path)])
+    def test_baseline_command(self, tmp_path, capsys):
+        common = ["--method", "magnitude", "--dataset", DATASET, "--arch", "tiny-mlp",
+                  "--objective", "loss", "--train-steps", "60", "--rewind-step", "10",
+                  "--batch-size", "32"]
+        rc = cli_main(["baseline", "--kappa", "0.5", "--out", str(tmp_path / "one")] + common)
         assert rc == 0
-        assert (tmp_path / "ticket.json").exists()
+        assert (tmp_path / "one" / "ticket.json").exists()
+        printed = capsys.readouterr().out.split("objective_at_draw=")[1].split()[0]
+        # the value a one-cell sweep of the same settings writes
+        assert cli_main(["sweep", "--sparsities", "0.5", "--out", str(tmp_path / "sweep")]
+                        + common) == 0
+        capsys.readouterr()
+        row = (tmp_path / "sweep" / "metrics.csv").read_text().splitlines()[2].split(",")
+        assert printed == f"{float(row[4]):.6g}"
 
     def test_oracle_command(self, tmp_path):
         rc = cli_main(["oracle", "--dataset", DATASET, "--arch", "tiny-mlp",
@@ -541,6 +548,10 @@ class TestCli:
         assert cli_main(["baseline", "--method", "snip", "--steps", "5"]) == 2
         assert cli_main(["sweep", "--kappa", "0.1"]) == 2
         assert cli_main(["sanity", "--sanity"]) == 2
+        # one spelling each: steps, the sanity subcommand, and its cts method
+        assert cli_main(["search", "--quick-factor", "0.5"]) == 2
+        assert cli_main(["sweep", "--sanity"]) == 2
+        assert cli_main(["sanity", "--method", "cts"]) == 2
         assert cli_main(["search", "--arch", "lenet-c4"]) == 2
 
     def test_empty_ticket_fails_before_training(self, tmp_path, capsys, monkeypatch):
@@ -559,7 +570,7 @@ class TestCli:
             assert "empty ticket" in err and len(err.splitlines()) == 1
             assert "Traceback" not in err
         # a sweep records the cell as failed, still before any training
-        assert cli_main(["sweep", "--sparsities", "0.98", "--sanity"] + common) == 1
+        assert cli_main(["sanity", "--sparsities", "0.98"] + common) == 1
         failures = json.loads((tmp_path / "out" / "failures.json").read_text())
         assert "cts_s0.98_r0" in failures
         assert all("empty ticket" in err for err in failures.values())
@@ -580,8 +591,7 @@ class TestCli:
             assert not (out / "cells").exists()
             err = capsys.readouterr().err.strip()
             assert word in err and len(err.splitlines()) == 1
-        for argv, word in [(["sweep", "--method", "snip", "--sanity"], "sanity"),
-                           (["search", "--eta", "1.5"], "eta"),
+        for argv, word in [(["search", "--eta", "1.5"], "eta"),
                            (["search", "--tau", "0"], "tau"),
                            (["search", "--controller", "gradbalance", "--kappa", "0"], "kappa"),
                            (["baseline", "--method", "snip", "--kappa", "1.5"], "kappa"),
@@ -591,6 +601,12 @@ class TestCli:
                              "--kappa", "0"], "kappa"),
                            (["search", "--dataset", "blobz:classes=2"], "blobz"),
                            (["oracle", "--dataset", "blobz:classes=2", "--kappa", "0.5"], "blobz"),
+                           (["oracle", "--dataset", DATASET, "--arch", "tiny-mlp", "--kappa",
+                             "0.5", "--rewind-step", "5", "--train-steps", "3"], "rewind"),
+                           (["oracle", "--dataset", DATASET, "--arch", "tiny-mlp", "--kappa",
+                             "0.5", "--rewind-step", "1000"], "rewind"),
+                           (["oracle", "--dataset", DATASET, "--arch", "tiny-mlp", "--kappa",
+                             "0.5", "--batch-size", "0"], "batch"),
                            (["search", "--dataset", f"{DATASET},clases=3"], "clases"),
                            (["sweep", "--dataset", f"{DATASET},clases=3"], "clases"),
                            (["sanity", "--dataset", f"{DATASET},clases=3"], "clases"),

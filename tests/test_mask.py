@@ -128,7 +128,7 @@ class TestSparsityLoss:
         analytic = sparsity_loss_grad(dist, kappa)
         leaf = T.Tensor(logits, requires_grad=True)
         ls = T.add(T.mul(T.sum_(_sigmoid(leaf)), 1.0 / (kappa * 40)), -1.0)
-        (g,) = T.grad(ls, [leaf])
+        (g,) = T.backward(ls, [leaf])
         np.testing.assert_allclose(analytic, g.data, rtol=1e-10, atol=1e-12)
 
 

@@ -188,7 +188,7 @@ class TestOverlay:
         leaves = [T.Tensor(w, requires_grad=True)
                   for w in self.model.layer_views(np.full(self.model.d, 0.7))]
         trace = forward(self.model, self.x, self.y, param_tensors=self._overlaid(leaves))
-        grads = T.grad(trace.loss, leaves)
+        grads = T.backward(trace.loss, leaves)
         assert [g.shape for g in grads] == [leaf.shape for leaf in leaves]
         assert all(np.any(g.data != 0) for g in grads)
 

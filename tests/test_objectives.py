@@ -8,9 +8,9 @@ import cts.objectives as obj
 import cts.tensor as T
 from cts.mask import sample_logistic, step_rng
 from cts.models import ForwardTrace, build_model, forward
-from cts.objectives import (OBJECTIVES, ObjectiveError, grad_match, hard_value,
+from cts.objectives import (OBJECTIVES, ObjectiveError, hard_value, layer_match,
                             mse, neg_grad_norm, normalize, reverse_kl,
-                            rel_loss_change, task_loss, value_and_alpha_grad)
+                            rel_loss_change, value_and_alpha_grad)
 from cts.tensor import Tensor
 
 
@@ -74,14 +74,10 @@ class TestClosedForms:
         with pytest.raises(ObjectiveError):
             rel_loss_change(_trace([[0.0]], loss=1.0), _trace([[0.0]], loss=0.0))
 
-    def test_task_loss_passthrough(self):
-        assert task_loss(_trace([[0.0]], loss=2.5)).item() == 2.5
-
     def test_feature_match_hand_value(self):
         fs = np.array([[1.0, 2.0, 3.0, 4.0]])
         ft = np.array([[4.0, 3.0, 2.0, 1.0]])
-        got = obj.feature_match(_trace([[0.0]], features=[fs]),
-                                _trace([[0.0]], features=[ft])).item()
+        got = layer_match(_trace([[0.0]], features=[fs]).features, [ft]).item()
         d = 1e-5
         ns = (fs - fs.mean()) / np.sqrt(fs.var() + d)
         nt = (ft - ft.mean()) / np.sqrt(ft.var() + d)
@@ -89,25 +85,24 @@ class TestClosedForms:
 
     def test_feature_match_layer_count_mismatch(self):
         with pytest.raises(ObjectiveError):
-            obj.feature_match(_trace([[0.0]], features=[np.ones((1, 2))]),
-                              _trace([[0.0]], features=[]))
+            layer_match(_trace([[0.0]], features=[np.ones((1, 2))]).features, [])
 
     def test_neg_grad_norm_quadratic_toy(self):
         # grads of f = sum(x^2) at x are 2x; objective is -||2x||
         x = np.array([3.0, 4.0])
         leaf = Tensor(x, requires_grad=True)
-        (g,) = T.grad(T.sum_(T.mul(leaf, leaf)), [leaf], create_graph=True)
+        (g,) = T.backward(T.sum_(T.mul(leaf, leaf)), [leaf], create_graph=True)
         assert neg_grad_norm([g]).item() == pytest.approx(-10.0)
 
     def test_grad_match_zero_for_identical(self):
         g = np.random.default_rng(0).standard_normal((3, 3))
         leaf = Tensor(g, requires_grad=True)
-        assert grad_match([leaf], [g]).item() == pytest.approx(0.0, abs=1e-12)
+        assert layer_match([leaf], [g]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_grad_match_scale_invariant(self):
         # normalization makes positively rescaled gradients match exactly
         g = np.random.default_rng(0).standard_normal((3, 3))
-        val = grad_match([Tensor(5.0 * g)], [g]).item()
+        val = layer_match([Tensor(5.0 * g)], [g]).item()
         assert val == pytest.approx(0.0, abs=1e-6)
 
 
@@ -195,7 +190,7 @@ def _tracked_chain(tag, model, x, y, logits, eps, tau):
     pieces = [T.reshape(T.narrow(s, slice(off, off + sz)), model.params[name].shape)
               for name, off, sz in model.maskable_index]
     value = obj.evaluate(tag, model, x, y, overlay=pieces)
-    (g,) = T.grad(value, [leaf])
+    (g,) = T.backward(value, [leaf])
     return value.item(), g.data
 
 
@@ -307,6 +302,6 @@ class TestHardMaskPath:
     def test_zero_gradient_norm_has_zero_gradient(self):
         leaf = Tensor(np.zeros(3), requires_grad=True)
         value = neg_grad_norm([leaf])
-        (g,) = T.grad(value, [leaf])
+        (g,) = T.backward(value, [leaf])
         assert value.item() == 0.0
         np.testing.assert_array_equal(g.data, 0.0)

@@ -35,11 +35,6 @@ class TestConfig:
         with pytest.raises(SearchError):
             SearchConfig(objective="entropy")
 
-    def test_quick_factor_scales_steps(self):
-        assert _cfg(steps=1000, quick_factor=0.125).effective_steps == 125
-        assert _cfg(steps=1000, quick_factor=1.0).effective_steps == 1000
-        assert _cfg(steps=4, quick_factor=0.1).effective_steps == 1
-
 
 class TestSearchPhase:
     def test_weights_frozen(self):
@@ -144,8 +139,3 @@ class TestRunCts:
         data = _data()
         ticket, final, _ = run_cts(_cfg(), "tiny-mlp", data, _tcfg(rewind_step=0))
         assert ticket.mask.sum() > 0
-
-    def test_quick_run_shorter_trace(self):
-        data = _data()
-        _, _, info = run_cts(_cfg(steps=40, quick_factor=0.5), "tiny-mlp", data, _tcfg())
-        assert len(info["search"].steps) == 20
