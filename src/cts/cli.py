@@ -3,7 +3,9 @@
 Subcommands: search (one ticket search run), baseline (one comparator run),
 sweep (full grid), sanity (the cts grid with its shuffle, invert and reinit
 ablations; in an INI config, ``[sweep] sanity``), oracle (brute force),
-report (aggregate CSVs). Exit codes: 0 ok, 1 cell failures, 2 usage error.
+report (aggregate CSVs). With ``--config``, the file sets a sweep's grid and
+``--out`` is the one flag allowed beside it; ``sanity --config`` runs that
+grid in sanity mode. Exit codes: 0 ok, 1 cell failures, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import mask as mk
@@ -120,12 +122,28 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+class _NoteGiven(argparse.Action):
+    """Store a flag's value and note the flag in ``namespace.given``, so a
+    command can tell a flag given at its default from one left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
+
+
 def cmd_sweep(args) -> int:
     try:
         if args.config:
+            # the file sets the grid; only the output directory and the
+            # subcommand's sanity mode come from the command line
+            beside = [f for f in args.given if f not in ("--config", "--out")]
+            if beside:
+                print(f"cts {args.command}: usage error: {', '.join(beside)} cannot be "
+                      f"given with --config; set it in the file", file=sys.stderr)
+                return 2
             cfg = load_config(args.config)
-            if args.out != "out":
-                cfg.out_dir = args.out
+            cfg = replace(cfg, out_dir=args.out if "--out" in args.given else cfg.out_dir,
+                          sanity=cfg.sanity or args.command == "sanity")
         else:
             cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
                                    sparsities=tuple(float(s) for s in args.sparsities.split(",")),
@@ -193,10 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("sweep", "sanity"):
         p = sub.add_parser(name, help=f"{name} over a (method, sparsity, seed) grid")
+        p.register("action", None, _NoteGiven)  # every flag below stores a value
         _add_common(p)
         _add_ticket_args(p)
         _add_search_args(p)
-        p.add_argument("--config", default=None, help="INI config file")
+        p.add_argument("--config", default=None,
+                       help="INI config file; no flag but --out may be given with it")
         if name == "sweep":
             p.add_argument("--method", default="cts", choices=METHODS)
         p.add_argument("--sparsities", default="0.95")

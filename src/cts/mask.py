@@ -172,13 +172,38 @@ def save_ticket(path, ticket: Ticket, arch: str = "", kappa: float | None = None
         "kappa": kappa,
         "density": ticket.density,
         "layout": [[name, sz] for name, sz in ticket.layout],
-        "indices": [int(i) for i in ticket.indices()],
+        "indices": ticket.indices(),
     }
     if meta:
         doc["meta"] = meta
     with open(path, "w") as f:
-        json.dump(doc, f, indent=0, sort_keys=True)
-        f.write("\n")
+        f.writelines(_ticket_json(doc))
+
+
+_INDEX_CHUNK = 4096
+
+
+def _ticket_json(doc: dict):
+    """The text of ``json.dump(doc, f, indent=0, sort_keys=True)`` plus a
+    newline, in pieces, with ``doc["indices"]`` an int array. indent=0 puts
+    every value of every depth on its own line with no indentation, so each
+    top-level value dumps alone to the same text. The indices, the bulk of a
+    ticket, are written as plain ints a chunk at a time, without the
+    pure-Python encoder and without a string object per index alive at once.
+    """
+    for n, key in enumerate(sorted(doc)):
+        yield ("{\n" if n == 0 else ",\n") + json.dumps(key) + ": "
+        value = doc[key]
+        if key != "indices":
+            yield json.dumps(value, indent=0, sort_keys=True)
+        elif len(value) == 0:
+            yield "[]"
+        else:
+            for i in range(0, len(value), _INDEX_CHUNK):
+                yield ("[\n" if i == 0 else ",\n") + \
+                    ",\n".join(map(str, value[i:i + _INDEX_CHUNK].tolist()))
+            yield "\n]"
+    yield "\n}\n"
 
 
 def load_ticket(path) -> tuple[Ticket, dict]:

@@ -290,9 +290,8 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
             if isinstance(s, Dense):
                 h = T.add(T.matmul(h, params[s.name + ".w"]), params[s.name + ".b"])
             elif isinstance(s, Conv):
-                b = params[s.name + ".b"]
-                h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding)
-                h = T.add(h, T.reshape(b, (1, b.size, 1, 1)))
+                h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding,
+                             bias=params[s.name + ".b"])
             elif isinstance(s, BatchNorm):
                 h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS)
             elif isinstance(s, Relu):
@@ -350,8 +349,9 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
     stop = cfg.steps if stop_step is None else stop_step
     names = [n for n in out.params]
     momentum = {n: np.zeros_like(out.params[n]) for n in names}
-    layer_masks = {} if mask is None else dict(
-        zip([name for name, _, _ in out.maskable_index], out.layer_views(mask)))
+    layer_masks = {} if mask is None else {
+        name: m.astype(out.params[name].dtype)
+        for (name, _, _), m in zip(out.maskable_index, out.layer_views(mask))}
 
     bad_steps = 0
     for step in range(start_step, stop):
@@ -368,18 +368,21 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
             continue
         lr = cfg.lr_at(step)
         for n, gn in zip(names, grads):
-            g = gn.data.copy()
+            g = gn.data
             lm = layer_masks.get(n)
             if cfg.weight_decay and _decayable(n):
                 decay = cfg.weight_decay * out.params[n]
                 if lm is not None:
-                    decay = decay * lm
+                    decay *= lm
                 g = g + decay
             if lm is not None:
                 g = g * lm
-            momentum[n] = cfg.momentum * momentum[n] + g
-            out.params[n] = out.params[n] - lr * momentum[n]
+            mom = momentum[n]
+            mom *= cfg.momentum
+            mom += g
+            p = out.params[n] - lr * mom
             if lm is not None:
-                out.params[n] = out.params[n] * lm
+                p *= lm
+            out.params[n] = p
     return out
 

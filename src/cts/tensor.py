@@ -26,6 +26,15 @@ One call decides it, the sum of squares, unless that sum overflows; the
 check stays per node, because a later op can absorb a non-finite value
 (relu(-inf) = 0).
 
+What a graph keeps: each node's output, and what its vjp reads besides its
+parents. A conv2d keeps its im2col columns for the weight adjoint, 9× its
+input for a 3×3 kernel at stride 1; a batch norm keeps x̂ and the inverse
+deviation. A conv's bias is added inside its node (``conv2d(bias=)``), so
+no pre-bias output is kept. ``backward`` drops a node's adjoint as soon as
+that node's vjp has run, unless the node is in ``wrt``, so a first-order
+sweep holds only the live frontier of adjoints on top of the graph;
+``conv2d_input_grad`` builds its Wᵀ g product one block of images at a time.
+
 Importing this module sets glibc's allocator policy for the process
 (``_keep_freed_heap``). A graph pass over a large batch, such as
 ``hard_value`` on the 256-row eval batch, holds about 100 MB of arrays.
@@ -482,16 +491,22 @@ def _row_major_product(m: int, co: int) -> bool:
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0,
-           cols: np.ndarray | None = None) -> Tensor:
+           cols: np.ndarray | None = None, bias=None) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, OIHW filters.
 
-    ``cols`` is im2col(x) when the caller already has it.
+    ``cols`` is im2col(x) when the caller already has it. ``bias``, of shape
+    (co,), is added to each output channel in place, so a layer's conv and
+    bias are one node; its adjoint is the sum of g over (n, oh, ow).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
     n = x.shape[0]
     co, ci, kh, kw = w.shape
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (co,):
+            raise ShapeError("conv2d", w.shape, bias.shape)
     oh, ow = _out_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
     if cols is None:
         cols = _im2col(x.data, kh, kw, stride, padding)
@@ -500,13 +515,22 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
         out = (np.ascontiguousarray(cols.T) @ wm.T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
     else:
         out = (wm @ cols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
+    out = np.ascontiguousarray(out)
+    if bias is not None:
+        out += bias.data.reshape(1, co, 1, 1)
 
     def vjp(g):
         return (conv2d_input_grad(g, w, x.shape, stride, padding) if x.requires_grad else None,
                 conv2d_weight_grad(x, g, w.shape, stride, padding, cols=cols)
-                if w.requires_grad else None)
+                if w.requires_grad else None,
+                sum_(g, axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None)
 
-    return _make(np.ascontiguousarray(out), "conv2d", (x, w), vjp)
+    parents = (x, w) if bias is None else (x, w, bias)
+    return _make(out, "conv2d", parents, vjp)
+
+
+# the bytes of one block of conv2d_input_grad's Wᵀ·grid product
+_INPUT_GRAD_BLOCK_BYTES = 2 << 20
 
 
 def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tensor:
@@ -517,6 +541,9 @@ def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tenso
     the window origins, so Wᵀ g is an exact zero everywhere else, and every
     kernel offset becomes one flat shift. One reduction over a strided view
     adds the kh·kw shifted products from +0.0 in col2im's (i, j) order.
+    Wᵀ g is built for one block of images at a time, each with the ``lead``
+    grid entries before it that its shifts reach, in at most about
+    ``_INPUT_GRAD_BLOCK_BYTES`` (one block at batch 32 on ``models.ARCHS``).
     """
     g, w = _as_tensor(g), _as_tensor(w)
     co, ci, kh, kw = w.shape
@@ -532,12 +559,19 @@ def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tenso
     grid = np.zeros((co, lead + n * band), dtype=g.data.dtype)
     grid[:, lead:].reshape(co, n, h + qh, pitch)[:, :, 0:s * oh:s, 0:s * ow:s] = \
         g.data.transpose(1, 0, 2, 3)
-    d = (w.data.reshape(co, -1).T @ grid).reshape(c, kh, kw, lead + n * band)
-    e = d.itemsize
-    shifted = as_strided(d[:, 0, 0, lead:], (c, kh, kw, n * band),
-                         (d.strides[0], d.strides[1] - pitch * e, d.strides[2] - e, e))
-    v = np.add.reduce(shifted, axis=(1, 2), initial=0.0)
-    out = v.reshape(c, n, h + qh, pitch)[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3)
+    wt = w.data.reshape(co, -1).T
+    dtype = np.result_type(wt, grid)
+    e = dtype.itemsize
+    per_block = max(1, (_INPUT_GRAD_BLOCK_BYTES // (c * kh * kw * e) - lead) // band)
+    out = np.empty((n, c, h, wd), dtype=dtype)
+    for i0 in range(0, n, per_block):
+        nb = min(per_block, n - i0)
+        d = (wt @ grid[:, i0 * band:lead + (i0 + nb) * band]).reshape(c, kh, kw, -1)
+        shifted = as_strided(d[:, 0, 0, lead:], (c, kh, kw, nb * band),
+                             (d.strides[0], d.strides[1] - pitch * e, d.strides[2] - e, e))
+        v = np.add.reduce(shifted, axis=(1, 2), initial=0.0)
+        out[i0:i0 + nb] = v.reshape(c, nb, h + qh, pitch)[:, :, p:p + h, p:p + wd] \
+            .transpose(1, 0, 2, 3)
 
     def vjp(u):
         cols = _im2col(u.data, kh, kw, stride, padding)  # shared by both adjoints
@@ -545,7 +579,7 @@ def conv2d_input_grad(g, w, x_shape, stride: int = 1, padding: int = 0) -> Tenso
                 conv2d_weight_grad(u, g, w.shape, stride, padding, cols=cols)
                 if w.requires_grad else None)
 
-    return _make(np.ascontiguousarray(out), "conv2d_input_grad", (g, w), vjp)
+    return _make(out, "conv2d_input_grad", (g, w), vjp)
 
 
 def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
@@ -728,11 +762,14 @@ def backward(root: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     grads: dict[int, Tensor] = {
         id(root): Tensor(np.ones(root.shape, dtype=root.data.dtype))
     }
+    keep = {id(t) for t in wrt}
 
     ctx = contextlib.nullcontext() if create_graph else no_grad()
     with ctx:
         for node in reversed(topo):
-            g = grads.get(id(node))
+            # every adjoint of a node has arrived once it is reached; only
+            # the requested ones outlive its vjp
+            g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
             if g is None or node._vjp is None:
                 continue
             parent_grads = node._vjp(g)

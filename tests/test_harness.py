@@ -575,6 +575,28 @@ class TestCli:
         assert "cts_s0.98_r0" in failures
         assert all("empty ticket" in err for err in failures.values())
 
+    def test_sanity_config_file(self, tmp_path, capsys):
+        # `cts sanity --config` runs the file's grid in sanity mode; a grid
+        # flag beside --config is a usage error, not silently dropped
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
+                       "[sweep]\nsparsities = 0.5\n"
+                       "[search]\nsteps = 20\n"
+                       "[train]\nsteps = 60\nrewind_step = 10\nbatch_size = 32\n")
+        out = tmp_path / "out"
+        assert cli_main(["sanity", "--config", str(ini), "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[2:]
+        assert sorted(r.split(",")[:2] for r in rows) == [
+            ["cts", "0.5"], ["cts+invert", "0.5"], ["cts+shuffle", "0.5"]]
+        capsys.readouterr()
+        for command in ("sanity", "sweep"):
+            other = tmp_path / command
+            assert cli_main([command, "--config", str(ini), "--sparsities", "0.9",
+                             "--out", str(other)]) == 2
+            assert not other.exists()
+            err = capsys.readouterr().err.strip()
+            assert "--sparsities" in err and len(err.splitlines()) == 1
+
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Mask distribution, concrete sampling, clamp, and ticket format tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,26 @@ class TestTicket:
         assert loaded.layout == t.layout
         assert meta["arch"] == "tiny-mlp"
         assert meta["kappa"] == 0.5
+
+    @pytest.mark.parametrize("kept", [0, 1, 35_840])
+    @pytest.mark.parametrize("meta", [None, {"method": "cts", "seed": 3,
+                                             "extra": {"indices": [1, 2], "x": 0.25}}])
+    def test_bytes_are_json_dump_indent_0(self, tmp_path, kept, meta):
+        # the canonical form: json.dump(doc, f, indent=0, sort_keys=True) + "\n"
+        d = 71_680
+        mask = np.zeros(d, dtype=np.int64)
+        mask[np.random.default_rng(kept).choice(d, kept, replace=False)] = 1
+        t = Ticket(mask=mask, layout=[("fc1.w", 50_176), ("fc2.w", d - 50_176)])
+        save_ticket(tmp_path / "t.json", t, arch="mlp-2x256", kappa=0.5, meta=meta)
+        doc = {"version": 1, "arch": "mlp-2x256", "d": d, "kappa": 0.5,
+               "density": kept / d, "layout": [["fc1.w", 50_176], ["fc2.w", d - 50_176]],
+               "indices": [int(i) for i in np.flatnonzero(mask)]}
+        if meta:
+            doc["meta"] = meta
+        with open(tmp_path / "ref.json", "w") as f:
+            json.dump(doc, f, indent=0, sort_keys=True)
+            f.write("\n")
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_file_is_bit_stable(self, tmp_path):
         t = Ticket(mask=np.array([0, 1, 1, 0, 1]))

@@ -118,7 +118,7 @@ class TestGraphSize:
         monkeypatch.setattr(T, "_im2col", counting_im2col)
         obj.value_and_alpha_grad("grad", model, x, y, rng.standard_normal(model.d),
                                  sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
-        assert counts["nodes"] <= 843
+        assert counts["nodes"] <= 815
         assert counts["im2col"] == 20
 
 

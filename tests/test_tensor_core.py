@@ -3,6 +3,7 @@ second-order support, numeric guards, and the allocator policy set on import."""
 
 import os
 import resource
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,33 @@ class TestConvPool:
         x = RNG.standard_normal((2, 3, 4, 4))
         _fd_check(lambda t: T.sum_(T.power(
             T.avg_pool2d(T.reshape(t, (2, 3, 4, 4)), 2), 2.0)), x.ravel())
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (1, 0)])
+    def test_bias_is_the_add_it_replaces(self, stride, padding):
+        # the fused bias against conv2d + reshape + add: value, the x/w/b
+        # adjoints, and their own adjoints under create_graph, bit for bit
+        rng = np.random.default_rng(11)
+        x, w, b = (rng.standard_normal(s) for s in ((4, 3, 6, 6), (5, 3, 3, 3), (5,)))
+
+        def run(fused):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            if fused:
+                out = T.conv2d(xt, wt, stride=stride, padding=padding, bias=bt)
+            else:
+                out = T.add(T.conv2d(xt, wt, stride=stride, padding=padding),
+                            T.reshape(bt, (1, 5, 1, 1)))
+            grads = backward(T.sum_(T.mul(out, out)), [xt, wt, bt], create_graph=True)
+            root = T.sum_(T.concat([T.reshape(T.mul(g, g), (-1,)) for g in grads]))
+            return [out] + grads + backward(root, [xt, wt, bt])
+
+        for a, b_ in zip(run(True), run(False)):
+            np.testing.assert_array_equal(a.data, b_.data)
+            np.testing.assert_array_equal(np.signbit(a.data), np.signbit(b_.data))
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError):
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
+                     bias=Tensor(np.zeros(2)))
 
 
 def _pool_composed(x, k):
@@ -456,10 +484,10 @@ class TestConvMatchesRowMajor:
         seen = set()
         real = T.conv2d
 
-        def recording(x, w, stride=1, padding=0, cols=None):
+        def recording(x, w, stride=1, padding=0, cols=None, bias=None):
             seen.add((x.shape[1], x.shape[2], w.shape[0], x.shape[3], w.shape[2],
                       stride, padding))
-            return real(x, w, stride=stride, padding=padding, cols=cols)
+            return real(x, w, stride=stride, padding=padding, cols=cols, bias=bias)
 
         monkeypatch.setattr(T, "conv2d", recording)
         for arch in ARCHS:
@@ -601,6 +629,31 @@ class TestGraphSemantics:
         out = T.sum_(leaf)
         (g,) = backward(out, wrt=[other])
         np.testing.assert_array_equal(g.data, np.zeros(3))
+
+    def test_backward_holds_only_the_live_adjoints(self):
+        # 50 muls of a 256 KiB array: an adjoint is freed once its node's vjp
+        # has run, so the sweep holds a few arrays, not one per node
+        x = Tensor(np.ones(1 << 15), requires_grad=True)
+        y = x
+        for _ in range(50):
+            y = T.mul(y, 1.001)
+        root = T.sum_(y)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            (g,) = backward(root, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 4 * x.data.nbytes
+        np.testing.assert_allclose(g.data, 1.001 ** 50)
+
+    def test_interior_wrt_keeps_its_adjoint(self):
+        leaf = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        mid = T.mul(leaf, leaf)
+        g_mid, g_leaf = backward(T.sum_(T.mul(mid, 3.0)), [mid, leaf])
+        np.testing.assert_array_equal(g_mid.data, [3.0, 3.0])
+        np.testing.assert_array_equal(g_leaf.data, [12.0, 18.0])
 
     def test_untracked_parent_gets_no_adjoint(self, monkeypatch):
         # the data batch needs no gradient, so conv2d and matmul skip its adjoint

@@ -21,7 +21,9 @@ Hashed:
 - the sanity, SNIP and LTR suites of `lenet-sweep` and `resnet-grad-search`
   at the benchmark's suite settings (seeds 3 and 4): their `metrics.csv` and
   `layers.csv`;
-- a `tiny-mlp` brute-force oracle table with `kl` (220 masks).
+- a `tiny-mlp` brute-force oracle table with `kl` (220 masks);
+- the final params of a masked `models.train` on the conv nets (40 steps,
+  weight decay and one learning-rate drop), the path of every conv's bias.
 """
 
 from __future__ import annotations
@@ -160,10 +162,20 @@ def oracle_digests():
     yield "oracle tiny-mlp kl table", sha(best.mask, *(v for row in rows for v in row))
 
 
+def train_digests():
+    for arch in CONV_ARCHS:
+        data = load_dataset(IMAGE_BLOBS.format(seed=5))
+        model = build_model(arch, 0, data.input_shape, data.num_classes)
+        mask = (np.random.default_rng(5).random(model.d) < 0.3).astype(np.int64)
+        cfg = TrainConfig(steps=40, batch_size=32, lr=0.05, lr_drops=((20, 0.1),), seed=5)
+        final = train(model, data, cfg, mask=mask)
+        yield f"train {arch} masked params", sha(*(final.params[k] for k in sorted(final.params)))
+
+
 def main() -> None:
     overall = hashlib.sha256()
     for part in (objective_digests, pruner_digests, pipeline_digests, sweep_digests,
-                 oracle_digests):
+                 oracle_digests, train_digests):
         for name, digest in part():
             line = f"{digest}  {name}"
             overall.update(line.encode() + b"\n")
