@@ -6,7 +6,7 @@ pruning, and the iterative train/prune/rewind loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -14,26 +14,15 @@ from . import objectives as obj
 from . import tensor as T
 from .data import Dataset
 from .mask import Ticket, ticket_size, topk_mask
-from .models import BatchNorm, ModelState, ResBlock, TrainConfig, build_model, forward, train
+from .models import BatchNorm, ModelState, ResBlock, TrainConfig, forward, train
+from .search import rewind_point
 
 SALIENCY_BATCH_FACTOR = 10  # scoring batch is 10x the training batch size
+LTR_PRUNE_FRACTION = 0.2  # of the surviving weights, per round (Frankle et al., 2020)
 
 
 class BaselineError(Exception):
     pass
-
-
-@dataclass
-class LtrConfig:
-    prune_fraction: float = 0.20
-    rounds: int = 3
-    train: TrainConfig = field(default_factory=TrainConfig)
-
-    def __post_init__(self):
-        if not 0 < self.prune_fraction < 1:
-            raise BaselineError("prune fraction must be in (0, 1)")
-        if self.rounds < 1:
-            raise BaselineError("need at least one round")
 
 
 def snip_scores(model: ModelState, batch) -> np.ndarray:
@@ -121,27 +110,30 @@ def random_prune(d: int, kappa: float, seed: int, layout=()) -> Ticket:
     return Ticket(mask=mask, layout=list(layout))
 
 
-def run_ltr(cfg: LtrConfig, arch: str, data: Dataset):
-    """Iterative magnitude pruning with rewinding.
+def run_ltr(arch: str, data: Dataset, train_cfg: TrainConfig, kappa: float):
+    """Iterative magnitude pruning with rewinding, to density kappa.
 
-    Round r trains the currently masked network to step T, prunes the
-    smallest-magnitude fraction of surviving weights globally, and rewinds
-    survivors to their step-k values. Densities follow (1-p)^r exactly.
+    Round r trains the currently masked network from the rewind point to
+    step T, prunes the smallest-magnitude fraction of surviving weights
+    globally, and rewinds survivors to their step-k values. Densities follow
+    (1-p)^r exactly. Returns the ticket, its model, the rewind point and the
+    per-round ``(ticket, trained model)`` list.
     """
-    model0 = build_model(arch, cfg.train.seed, data.input_shape, data.num_classes)
-    k = cfg.train.rewind_step
-    model_k = train(model0, data, cfg.train, stop_step=k)
+    model_k = rewind_point(arch, train_cfg.seed, data, train_cfg, kappa)
+    k = train_cfg.rewind_step
+    rounds = max(1, int(round(math.log(kappa) / math.log(1 - LTR_PRUNE_FRACTION))))
 
     results = []
     mask = np.ones(model_k.d, dtype=np.int64)
-    for r in range(1, cfg.rounds + 1):
+    for r in range(1, rounds + 1):
         # train() starts from a copy of model_k with the pruned weights zeroed
-        final = train(model_k, data, cfg.train, mask=mask, start_step=k)
+        final = train(model_k, data, train_cfg, mask=mask, start_step=k)
         # keep the round(d * (1-p)^r) largest surviving weights by final magnitude
         magnitudes = np.abs(final.maskable_vector())
-        mask = topk_mask(np.where(mask == 0, -np.inf, magnitudes), (1 - cfg.prune_fraction) ** r)
+        mask = topk_mask(np.where(mask == 0, -np.inf, magnitudes), (1 - LTR_PRUNE_FRACTION) ** r)
         results.append((Ticket(mask=mask, layout=model_k.maskable_layout()), final))
-    return results, model_k
+    ticket, final = results[-1]
+    return ticket, final.masked(ticket.mask), model_k, results
 
 
 def shuffle_layerwise(ticket: Ticket, seed: int) -> Ticket:

@@ -22,9 +22,9 @@ from . import objectives as obj
 from .data import DataError, load_dataset
 from .experiment import (METHODS, ExperimentConfig, ExperimentError, load_config,
                          report, run_cell, run_experiment)
-from .models import ARCHS, TrainConfig, build_model, evaluate, train
+from .models import ARCHS, TrainConfig, evaluate
 from .oracle import OracleError, brute_force_oracle
-from .search import SearchConfig, SearchError, run_cts
+from .search import SearchConfig, SearchError, rewind_point, run_cts
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -161,8 +161,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         data = load_dataset(args.dataset)
-        model = build_model(args.arch, args.seed, data.input_shape, data.num_classes)
-        model = train(model, data, _train_cfg(args), stop_step=args.rewind_step)
+        model = rewind_point(args.arch, args.seed, data, _train_cfg(args), args.kappa)
         batch = data.eval_batch(seed=args.seed)
         best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
     except (DataError, mk.MaskError, OracleError, ValueError) as e:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from . import mask as mk
 from . import objectives as obj
 from .data import DataError, Dataset, load_dataset, parse_dataset_spec
 from .models import ARCHS, TrainConfig, build_model, evaluate, train
-from .search import SearchConfig, run_cts
+from .search import SearchConfig, rewind_point, run_cts
 
 CSV_SCHEMA = 1
 METHODS = ("cts", "ltr", "snip", "grasp", "synflow", "magnitude", "random")
@@ -52,7 +51,6 @@ class ExperimentConfig:
     sanity: bool = False  # emit paired base-vs-ablated rows
     search: SearchConfig = field(default_factory=SearchConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    ltr_prune_fraction: float = 0.20
 
     def __post_init__(self):
         try:
@@ -116,14 +114,20 @@ class CellGroup:
         return load_dataset(self.dataset)
 
 
+def _tag(method: str, variant: str) -> str:
+    return f"{method}{'+' + variant if variant else ''}"
+
+
 def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = "",
              group: CellGroup | None = None) -> tuple[MetricsRecord, mk.Ticket]:
     """Execute one (method, sparsity, repeat) cell. Pure given the config.
 
-    A cts cell draws its ticket with ``run_cts`` unless ``group`` already
-    holds the pair's draw or its error, and leaves either there for the next
-    cell. A sparsity that leaves an empty ticket raises ``MaskError`` before
-    any training.
+    Every method draws its ticket from the rewind point and retrains it from
+    there; the cell then scores the ticket with ``hard_value`` on the eval
+    batch of seed + 1 and evaluates the retrained model. A cts cell draws
+    with ``run_cts`` unless ``group`` already holds the pair's draw or its
+    error, and leaves either there for the next cell. A sparsity that leaves
+    an empty ticket raises ``MaskError`` before any training.
     """
     group = group or CellGroup(cfg.dataset)
     data = group.data
@@ -132,51 +136,47 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
     tcfg = TrainConfig(**{**asdict(cfg.train), "seed": seed})
     t0 = time.perf_counter()
 
-    method = cfg.method
-    if method != "cts":  # run_cts checks its own kappa
-        mk.ticket_size(kappa, build_model(cfg.arch, seed, data.input_shape, data.num_classes).d)
-    if method == "cts":
-        scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa,
-                               "seed_init": seed, "seed_search": seed + 1,
-                               "seed_train": seed + 2})
-        if group.error is not None:
-            raise group.error
-        if group.draw is None:
-            try:
-                group.draw = run_cts(scfg, cfg.arch, data, tcfg)
-            except Exception as e:
-                group.error = e
-                raise
-        ticket, final, info = group.draw
+    teacher = value = None
+    if cfg.method == "cts":
+        drawn, final, info = _cts_draw(cfg, kappa, seed, tcfg, group)
+        model_k, teacher = info["rewind_model"], info["teacher"]
+        ticket = drawn
         if variant:
             ticket, final = _apply_ablation(variant, ticket, info, data, tcfg, seed)
-        acc, _ = evaluate(final, data.x_test, data.y_test)
-        # the drawn mask's value on the eval batch of seed + 1 came with the
-        # draw, and so did the teacher's half of every score on that batch
-        value = info["objective_at_draw"]
-        if ticket is not group.draw[0]:  # shuffle and invert score their own mask
-            ex, ey = data.eval_batch(seed=seed + 1)
-            value = obj.hard_value(scfg.objective, info["rewind_model"], ex, ey, ticket.mask,
-                                   teacher=info["teacher"])
-    elif method == "ltr":
-        p = cfg.ltr_prune_fraction
-        rounds = max(1, int(round(math.log(max(kappa, 1e-12)) / math.log(1 - p))))
-        lcfg = bl.LtrConfig(prune_fraction=p, rounds=rounds, train=tcfg)
-        results, model_k = bl.run_ltr(lcfg, cfg.arch, data)
-        ticket, final = results[-1]
-        acc, _ = evaluate(final.masked(ticket.mask), data.x_test, data.y_test)
-        ex, ey = data.eval_batch(seed=seed + 1)
-        value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask)
+        if ticket is drawn:  # the draw scored its own mask, reinit's too
+            value = info["objective_at_draw"]
+    elif cfg.method == "ltr":
+        ticket, final, model_k, _ = bl.run_ltr(cfg.arch, data, tcfg, kappa)
     else:
-        ticket, final, value = _run_pai_cell(cfg, method, data, kappa, seed, tcfg)
-        acc, _ = evaluate(final, data.x_test, data.y_test)
+        model_k = rewind_point(cfg.arch, seed, data, tcfg, kappa)
+        ticket = _pai_ticket(cfg.method, model_k, data, kappa, seed, tcfg.batch_size)
+        final = train(model_k, data, tcfg, mask=ticket.mask, start_step=tcfg.rewind_step)
+    if value is None:  # cts's teacher pass on this batch came with its draw
+        ex, ey = data.eval_batch(seed=seed + 1)
+        value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask,
+                               teacher=teacher)
+    acc, _ = evaluate(final, data.x_test, data.y_test)
     wall = time.perf_counter() - t0
 
-    name = f"{method}{'+' + variant if variant else ''}"
-    record = MetricsRecord(method=name, sparsity=sparsity, seed=seed,
+    record = MetricsRecord(method=_tag(cfg.method, variant), sparsity=sparsity, seed=seed,
                            accuracy=acc, objective_at_draw=value, wall_time=wall,
                            per_layer_density=ticket.per_layer_density())
     return record, ticket
+
+
+def _cts_draw(cfg: ExperimentConfig, kappa, seed, tcfg: TrainConfig, group: CellGroup):
+    """The pair's ``run_cts`` draw: made once, or its error raised again."""
+    if group.error is not None:
+        raise group.error
+    if group.draw is None:
+        scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa, "seed_init": seed,
+                               "seed_search": seed + 1, "seed_train": seed + 2})
+        try:
+            group.draw = run_cts(scfg, cfg.arch, group.data, tcfg)
+        except Exception as e:
+            group.error = e
+            raise
+    return group.draw
 
 
 def _apply_ablation(variant, ticket, info, data, tcfg, seed):
@@ -197,29 +197,21 @@ def _apply_ablation(variant, ticket, info, data, tcfg, seed):
     return ticket, final
 
 
-def _run_pai_cell(cfg, method, data: Dataset, kappa, seed, tcfg: TrainConfig):
-    model0 = build_model(cfg.arch, seed, data.input_shape, data.num_classes)
-    k = tcfg.rewind_step
-    model_k = train(model0, data, tcfg, stop_step=k)
-    xb, yb = data.batch(0, tcfg.batch_size * bl.SALIENCY_BATCH_FACTOR, seed + 3)
-    if method == "snip":
-        ticket = bl.prune_by_scores(bl.snip_scores(model_k, (xb, yb)), kappa,
-                                    layout=model_k.maskable_layout())
-    elif method == "grasp":
-        ticket = bl.prune_by_scores(bl.grasp_scores(model_k, (xb, yb)), kappa,
-                                    layout=model_k.maskable_layout())
-    elif method == "synflow":
-        ticket = bl.synflow_prune(model_k, kappa)
-    elif method == "magnitude":
-        ticket = bl.magnitude_prune(model_k, kappa)
-    elif method == "random":
-        ticket = bl.random_prune(model_k.d, kappa, seed, layout=model_k.maskable_layout())
-    else:
-        raise ExperimentError(f"unknown method '{method}'")
-    ex, ey = data.eval_batch(seed=seed + 1)
-    value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask)
-    final = train(model_k, data, tcfg, mask=ticket.mask, start_step=k)
-    return ticket, final, value
+def _pai_ticket(method, model_k, data: Dataset, kappa, seed, batch_size) -> mk.Ticket:
+    """A pruning-at-initialization ticket of ``model_k``; SNIP and GraSP
+    score a saliency batch of ``SALIENCY_BATCH_FACTOR`` training batches."""
+    layout = model_k.maskable_layout()
+    if method in ("snip", "grasp"):
+        batch = data.batch(0, batch_size * bl.SALIENCY_BATCH_FACTOR, seed + 3)
+        scores = (bl.snip_scores if method == "snip" else bl.grasp_scores)(model_k, batch)
+        return bl.prune_by_scores(scores, kappa, layout=layout)
+    if method == "synflow":
+        return bl.synflow_prune(model_k, kappa)
+    if method == "magnitude":
+        return bl.magnitude_prune(model_k, kappa)
+    if method == "random":
+        return bl.random_prune(model_k.d, kappa, seed, layout=layout)
+    raise ExperimentError(f"unknown method '{method}'")
 
 
 # -- sweep persistence ---------------------------------------------------------
@@ -229,8 +221,7 @@ def _sha256(path: Path) -> str:
 
 
 def _cell_id(method: str, sparsity: float, rep: int, variant: str = "") -> str:
-    tag = f"{method}{'+' + variant if variant else ''}"
-    return f"{tag}_s{_fmt(sparsity)}_r{rep}"
+    return f"{_tag(method, variant)}_s{_fmt(sparsity)}_r{rep}"
 
 
 def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str) -> str:
@@ -238,8 +229,7 @@ def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant:
     location, worker count or grid shape (sparsities, repeats, sanity), and
     only the fields its method reads. Every method scores its ticket with
     ``search.objective``; only cts runs the search, less the kappa and seeds
-    that ``run_cell`` sets from the cell, and only ltr prunes by
-    ``ltr_prune_fraction``."""
+    that ``run_cell`` sets from the cell."""
     doc = {k: v for k, v in asdict(cfg).items()
            if k not in ("out_dir", "workers", "sparsities", "repeats", "sanity")}
     if cfg.method == "cts":
@@ -247,8 +237,6 @@ def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant:
             del doc["search"][k]
     else:
         doc["search"] = {"objective": cfg.search.objective}
-    if cfg.method != "ltr":
-        del doc["ltr_prune_fraction"]
     return hashlib.sha256(json.dumps([doc, sparsity, rep, variant], sort_keys=True).encode()).hexdigest()
 
 
@@ -413,14 +401,13 @@ _CONFIG_KEYS = {
                           "batch_size": int}),
     "train": ("train", {"steps": int, "batch_size": int, "lr": float, "momentum": float,
                         "weight_decay": float, "rewind_step": int, "lr_drops": _lr_drops}),
-    "ltr": (None, {"prune_fraction": float}),
 }
 # keys whose ExperimentConfig field has another name
-_CONFIG_FIELDS = {"out": "out_dir", "prune_fraction": "ltr_prune_fraction"}
+_CONFIG_FIELDS = {"out": "out_dir"}
 
 
 def load_config(path) -> ExperimentConfig:
-    """key = value sections: [task], [sweep], [search], [train], [ltr].
+    """key = value sections: [task], [sweep], [search], [train].
 
     An unknown section or key is an error, so a misspelt option cannot
     silently leave its default in place.

@@ -112,6 +112,16 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
     return dist, metrics
 
 
+def rewind_point(arch: str, seed: int, data: Dataset, train_cfg: TrainConfig,
+                 kappa: float) -> ModelState:
+    """The model every method draws its ticket from: ``arch`` built from
+    ``seed`` and trained to the rewind step k. A kappa that leaves an empty
+    ticket raises ``MaskError`` before any training."""
+    model0 = build_model(arch, seed, data.input_shape, data.num_classes)
+    mk.ticket_size(kappa, model0.d)
+    return train(model0, data, train_cfg, stop_step=train_cfg.rewind_step)
+
+
 def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
             train_cfg: TrainConfig) -> tuple[mk.Ticket, ModelState, dict]:
     """Full pipeline (k-step pre-train, search, clamp, masked retrain).
@@ -122,11 +132,7 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     ``seed_search``. A kappa that leaves an empty ticket raises ``MaskError``
     before any training.
     """
-    k = train_cfg.rewind_step
-    model0 = build_model(arch, cfg.seed_init, data.input_shape, data.num_classes)
-    mk.ticket_size(cfg.kappa, model0.d)
-    model_k = train(model0, data, train_cfg, stop_step=k)
-
+    model_k = rewind_point(arch, cfg.seed_init, data, train_cfg, cfg.kappa)
     dist, metrics = search_phase(model_k, cfg, data)
     ticket = mk.clamp_topk(dist, cfg.kappa)
 
@@ -135,7 +141,7 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
     objective_at_draw = obj.hard_value(cfg.objective, model_k, eval_x, eval_y, ticket.mask,
                                        teacher=teacher)
 
-    final = train(model_k, data, train_cfg, mask=ticket.mask, start_step=k)
+    final = train(model_k, data, train_cfg, mask=ticket.mask, start_step=train_cfg.rewind_step)
     info = {
         "search": metrics,
         "distribution": dist,

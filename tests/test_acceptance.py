@@ -13,8 +13,7 @@ import pytest
 
 import cts.objectives as obj
 import cts.tensor as T
-from cts.baselines import (LtrConfig, prune_by_scores, run_ltr, shuffle_layerwise,
-                           snip_scores)
+from cts.baselines import prune_by_scores, run_ltr, shuffle_layerwise, snip_scores
 from cts.controllers import ControllerState, gradbalance_step
 from cts.data import make_blobs
 from cts.experiment import ExperimentConfig, run_experiment
@@ -300,8 +299,7 @@ def test_criterion_9_ltr_mechanics():
     round restarts from the bit-exact rewind weights."""
     data = make_blobs(classes=2, dim=4, n=400, seed=3)
     tcfg = TrainConfig(steps=60, batch_size=32, rewind_step=10, seed=0)
-    cfg = LtrConfig(prune_fraction=0.2, rounds=3, train=tcfg)
-    results, model_k = run_ltr(cfg, "tiny-mlp", data)
+    _, _, model_k, results = run_ltr("tiny-mlp", data, tcfg, 0.5)
     d = model_k.d
     theta_k = model_k.maskable_vector()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cts.tensor as T
-from cts.baselines import (BaselineError, LtrConfig, grasp_scores, magnitude_prune,
+from cts.baselines import (BaselineError, grasp_scores, magnitude_prune,
                            prune_by_scores, random_prune, run_ltr, shuffle_layerwise,
                            snip_scores, synflow_prune)
 from cts.data import make_blobs
@@ -183,10 +183,8 @@ class TestSimpleBaselines:
 class TestLtr:
     def test_density_schedule_and_nesting(self):
         data = _data()
-        cfg = LtrConfig(prune_fraction=0.2, rounds=3,
-                        train=TrainConfig(steps=40, batch_size=32,
-                                          rewind_step=10, seed=0))
-        results, model_k = run_ltr(cfg, "tiny-mlp", data)
+        tcfg = TrainConfig(steps=40, batch_size=32, rewind_step=10, seed=0)
+        _, _, model_k, results = run_ltr("tiny-mlp", data, tcfg, 0.5)
         d = model_k.d
         prev = np.ones(d)
         for r, (ticket, final) in enumerate(results, start=1):
@@ -200,11 +198,9 @@ class TestLtr:
 
     def test_deterministic(self):
         data = _data()
-        cfg = LtrConfig(prune_fraction=0.2, rounds=2,
-                        train=TrainConfig(steps=40, batch_size=32,
-                                          rewind_step=10, seed=0))
-        r1, _ = run_ltr(cfg, "tiny-mlp", data)
-        r2, _ = run_ltr(cfg, "tiny-mlp", data)
+        tcfg = TrainConfig(steps=40, batch_size=32, rewind_step=10, seed=0)
+        *_, r1 = run_ltr("tiny-mlp", data, tcfg, 0.5)
+        *_, r2 = run_ltr("tiny-mlp", data, tcfg, 0.5)
         np.testing.assert_array_equal(r1[-1][0].mask, r2[-1][0].mask)
 
 
