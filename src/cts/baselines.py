@@ -6,8 +6,6 @@ pruning, and the iterative train/prune/rewind loop.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import objectives as obj
@@ -111,29 +109,32 @@ def random_prune(d: int, kappa: float, seed: int, layout=()) -> Ticket:
 
 
 def run_ltr(arch: str, data: Dataset, train_cfg: TrainConfig, kappa: float):
-    """Iterative magnitude pruning with rewinding, to density kappa.
+    """Iterative magnitude pruning with rewinding (Frankle et al., 2020) to a
+    ticket of exactly ``ticket_size(kappa, d)`` weights.
 
-    Round r trains the currently masked network from the rewind point to
-    step T, prunes the smallest-magnitude fraction of surviving weights
-    globally, and rewinds survivors to their step-k values. Densities follow
-    (1-p)^r exactly. Returns the ticket, its model, the rewind point and the
+    Round r trains the masked network from the rewind point k to step T and
+    keeps the largest surviving weights by final magnitude, max(0.8^r, kappa)
+    of d; survivors rewind to their step-k values. The rounds stop once the
+    mask holds the ticket's size, and the ticket is retrained from k.
+    Returns the ticket, its retrained model, the rewind point and the
     per-round ``(ticket, trained model)`` list.
     """
     model_k = rewind_point(arch, train_cfg.seed, data, train_cfg, kappa)
-    k = train_cfg.rewind_step
-    rounds = max(1, int(round(math.log(kappa) / math.log(1 - LTR_PRUNE_FRACTION))))
+    k, n = train_cfg.rewind_step, ticket_size(kappa, model_k.d)
+    layout = model_k.maskable_layout()
 
-    results = []
+    results, r = [], 0
     mask = np.ones(model_k.d, dtype=np.int64)
-    for r in range(1, rounds + 1):
+    while mask.sum() > n:
+        r += 1
         # train() starts from a copy of model_k with the pruned weights zeroed
         final = train(model_k, data, train_cfg, mask=mask, start_step=k)
-        # keep the round(d * (1-p)^r) largest surviving weights by final magnitude
         magnitudes = np.abs(final.maskable_vector())
-        mask = topk_mask(np.where(mask == 0, -np.inf, magnitudes), (1 - LTR_PRUNE_FRACTION) ** r)
-        results.append((Ticket(mask=mask, layout=model_k.maskable_layout()), final))
-    ticket, final = results[-1]
-    return ticket, final.masked(ticket.mask), model_k, results
+        keep = max((1 - LTR_PRUNE_FRACTION) ** r, kappa)
+        mask = topk_mask(np.where(mask == 0, -np.inf, magnitudes), keep)
+        results.append((Ticket(mask=mask, layout=layout), final))
+    final = train(model_k, data, train_cfg, mask=mask, start_step=k)
+    return Ticket(mask=mask, layout=layout), final, model_k, results
 
 
 def shuffle_layerwise(ticket: Ticket, seed: int) -> Ticket:

@@ -68,6 +68,9 @@ class ExperimentConfig:
         for s in self.sparsities:
             if not 0 < s < 1:
                 raise ExperimentError(f"sparsities must lie in (0, 1), got {s}")
+        names = [_fmt(s) for s in self.sparsities]  # as cells and rows spell them
+        if len(set(names)) != len(names):
+            raise ExperimentError(f"repeated sparsity in {','.join(names)}")
 
 
 @dataclass
@@ -138,12 +141,21 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
 
     teacher = value = None
     if cfg.method == "cts":
-        drawn, final, info = _cts_draw(cfg, kappa, seed, tcfg, group)
+        if group.error is not None:
+            raise group.error
+        if group.draw is None:
+            scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa, "seed_init": seed,
+                                   "seed_search": seed + 1, "seed_train": seed + 2})
+            try:
+                group.draw = run_cts(scfg, cfg.arch, data, tcfg)
+            except Exception as e:
+                group.error = e
+                raise
+        ticket, final, info = group.draw
         model_k, teacher = info["rewind_model"], info["teacher"]
-        ticket = drawn
         if variant:
             ticket, final = _apply_ablation(variant, ticket, info, data, tcfg, seed)
-        if ticket is drawn:  # the draw scored its own mask, reinit's too
+        if ticket is group.draw[0]:  # the draw scored its own mask, reinit's too
             value = info["objective_at_draw"]
     elif cfg.method == "ltr":
         ticket, final, model_k, _ = bl.run_ltr(cfg.arch, data, tcfg, kappa)
@@ -151,7 +163,7 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
         model_k = rewind_point(cfg.arch, seed, data, tcfg, kappa)
         ticket = _pai_ticket(cfg.method, model_k, data, kappa, seed, tcfg.batch_size)
         final = train(model_k, data, tcfg, mask=ticket.mask, start_step=tcfg.rewind_step)
-    if value is None:  # cts's teacher pass on this batch came with its draw
+    if value is None:  # against the draw's teacher pass on this batch, if it took one
         ex, ey = data.eval_batch(seed=seed + 1)
         value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask,
                                teacher=teacher)
@@ -162,21 +174,6 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
                            accuracy=acc, objective_at_draw=value, wall_time=wall,
                            per_layer_density=ticket.per_layer_density())
     return record, ticket
-
-
-def _cts_draw(cfg: ExperimentConfig, kappa, seed, tcfg: TrainConfig, group: CellGroup):
-    """The pair's ``run_cts`` draw: made once, or its error raised again."""
-    if group.error is not None:
-        raise group.error
-    if group.draw is None:
-        scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa, "seed_init": seed,
-                               "seed_search": seed + 1, "seed_train": seed + 2})
-        try:
-            group.draw = run_cts(scfg, cfg.arch, group.data, tcfg)
-        except Exception as e:
-            group.error = e
-            raise
-    return group.draw
 
 
 def _apply_ablation(variant, ticket, info, data, tcfg, seed):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cts.baselines as baselines
 import cts.tensor as T
 from cts.baselines import (BaselineError, grasp_scores, magnitude_prune,
                            prune_by_scores, random_prune, run_ltr, shuffle_layerwise,
@@ -202,6 +203,26 @@ class TestLtr:
         *_, r1 = run_ltr("tiny-mlp", data, tcfg, 0.5)
         *_, r2 = run_ltr("tiny-mlp", data, tcfg, 0.5)
         np.testing.assert_array_equal(r1[-1][0].mask, r2[-1][0].mask)
+
+    def test_cuts_to_ticket_size_and_retrains_it(self, monkeypatch):
+        # d = 12: ticket_size(0.58) is 7, while 0.8^3 of d would keep 6
+        data = _data()
+        tcfg = TrainConfig(steps=40, batch_size=32, rewind_step=10, seed=0)
+        masked = []
+
+        def counting(model, data, cfg, mask=None, **kwargs):
+            masked.append(mask is not None)
+            return train(model, data, cfg, mask=mask, **kwargs)
+
+        monkeypatch.setattr(baselines, "train", counting)
+        ticket, final, model_k, results = run_ltr("tiny-mlp", data, tcfg, 0.58)
+        assert [int(t.mask.sum()) for t, _ in results] == [10, 8, 7]
+        assert ticket_size(0.8 ** 3, model_k.d) == 6
+        np.testing.assert_array_equal(ticket.mask, results[-1][0].mask)
+        assert masked.count(True) == len(results) + 1
+        retrained = train(model_k, data, tcfg, mask=ticket.mask, start_step=10)
+        for name, p in retrained.params.items():
+            np.testing.assert_array_equal(final.params[name], p)
 
 
 class TestSanityAblations:

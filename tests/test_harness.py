@@ -12,11 +12,11 @@ import cts.experiment as experiment
 import cts.objectives as obj
 import cts.search as search
 from cts.cli import main as cli_main
-from cts.data import (DataError, load_dataset, load_idx, make_blobs,
+from cts.data import (DataError, Dataset, load_dataset, load_idx, make_blobs,
                       parse_dataset_spec)
 from cts.experiment import (ExperimentConfig, MetricsRecord, load_config,
                             report, run_experiment)
-from cts.mask import load_ticket
+from cts.mask import load_ticket, ticket_size
 from cts.models import TrainConfig, build_model
 from cts.objectives import hard_value
 from cts.oracle import OracleError, brute_force_oracle
@@ -439,6 +439,19 @@ class TestExperiment:
         assert len(draws()) == 2
         assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("method", experiment.METHODS)
+    def test_every_method_keeps_ticket_size(self, method):
+        # lenet-conv4 at sparsity 0.98: round(0.02 * 3400) == 68 weights
+        cfg = ExperimentConfig(
+            dataset="blobs:classes=4,dim=64,n=400,seed=3,image=1", arch="lenet-conv4",
+            method=method, sparsities=(0.98,), seed=0,
+            search=SearchConfig(steps=2, batch_size=16),
+            train=TrainConfig(steps=4, batch_size=16, rewind_step=2))
+        record, ticket = experiment.run_cell(cfg, 0.98, 0)
+        d = build_model("lenet-conv4", 0).d
+        assert int(ticket.mask.sum()) == ticket_size(0.02, d) == 68
+        assert record.method == method
+
     def test_report_aggregates(self, tmp_path):
         run_experiment(_exp_cfg(tmp_path, repeats=2))
         rows = report([tmp_path / "metrics.csv"])
@@ -560,11 +573,18 @@ class TestCli:
 
         for module in (search, experiment, baselines):
             monkeypatch.setattr(module, "train", no_train)
+        # every training step draws a batch, whichever module calls train
+        monkeypatch.setattr(Dataset, "batch", no_train)
         # d = 12 on tiny-mlp, so kappa 0.02 keeps round(0.24) == 0 entries
         common = ["--dataset", DATASET, "--arch", "tiny-mlp", "--out", str(tmp_path / "out")]
         for argv in (["search", "--kappa", "0.02"],
                      ["baseline", "--method", "snip", "--kappa", "0.02"],
-                     ["baseline", "--method", "ltr", "--kappa", "0.02"]):
+                     ["baseline", "--method", "ltr", "--kappa", "0.02"],
+                     ["baseline", "--method", "grasp", "--kappa", "0.02"],
+                     ["baseline", "--method", "synflow", "--kappa", "0.02"],
+                     ["baseline", "--method", "magnitude", "--kappa", "0.02"],
+                     ["baseline", "--method", "random", "--kappa", "0.02"],
+                     ["oracle", "--kappa", "0.02", "--rewind-step", "5"]):
             assert cli_main(argv + common) == 2
             err = capsys.readouterr().err.strip()
             assert "empty ticket" in err and len(err.splitlines()) == 1
@@ -607,7 +627,8 @@ class TestCli:
                            (task + "[search]\ntau = 0", "tau"),
                            (task + "[sweep]\nmethod = snip\nsanity = true", "sanity"),
                            (task.replace(DATASET, f"{DATASET},clases=3"), "clases"),
-                           (task.replace("tiny-mlp", "lenet-c4"), "lenet-c4")]:
+                           (task.replace("tiny-mlp", "lenet-c4"), "lenet-c4"),
+                           (task + "[sweep]\nsparsities = 0.5, 0.5", "repeated")]:
             ini.write_text(text + "\n")
             assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
             assert not (out / "cells").exists()
@@ -633,7 +654,9 @@ class TestCli:
                            (["sweep", "--dataset", f"{DATASET},clases=3"], "clases"),
                            (["sanity", "--dataset", f"{DATASET},clases=3"], "clases"),
                            (["sweep", "--dataset", "blobs:classes=1"], "classes"),
-                           (["sanity", "--dataset", "blobs:dim=15,image=1"], "square")]:
+                           (["sanity", "--dataset", "blobs:dim=15,image=1"], "square"),
+                           (["sweep", "--dataset", DATASET, "--sparsities", "0.5,0.5"],
+                            "repeated")]:
             assert cli_main(argv + ["--out", str(out)]) == 2
             assert not out.exists()
             err = capsys.readouterr().err.strip()

@@ -21,6 +21,8 @@ Hashed:
 - the sanity, SNIP and LTR suites of `lenet-sweep` and `resnet-grad-search`
   at the benchmark's suite settings (seeds 3 and 4): their `metrics.csv` and
   `layers.csv`;
+- `run_ltr` on `lenet-conv4` at kappa 0.02 (the `lenet-sweep` suite's
+  training settings, seed 3): ticket and retrained params;
 - a `tiny-mlp` brute-force oracle table with `kl` (220 masks);
 - the final params of a masked `models.train` on the conv nets (40 steps,
   weight decay and one learning-rate drop), the path of every conv's bias.
@@ -153,6 +155,14 @@ def sweep_digests():
                         yield f"{name} s{seed} {label} {csv}", sha((out / csv).read_bytes())
 
 
+def ltr_digests():
+    data = load_dataset(IMAGE_BLOBS.format(seed=3))
+    tcfg = TrainConfig(steps=60, rewind_step=10, batch_size=32, seed=3)
+    ticket, final, _, _ = baselines.run_ltr("lenet-conv4", data, tcfg, 0.02)
+    yield "run_ltr lenet-conv4 k0.02 ticket", sha(ticket.mask)
+    yield "run_ltr lenet-conv4 k0.02 params", sha(*(final.params[k] for k in sorted(final.params)))
+
+
 def oracle_digests():
     data = load_dataset("blobs:classes=2,dim=4,n=400,seed=3")
     model = build_model("tiny-mlp", 0, data.input_shape, data.num_classes)
@@ -175,7 +185,7 @@ def train_digests():
 def main() -> None:
     overall = hashlib.sha256()
     for part in (objective_digests, pruner_digests, pipeline_digests, sweep_digests,
-                 oracle_digests, train_digests):
+                 ltr_digests, oracle_digests, train_digests):
         for name, digest in part():
             line = f"{digest}  {name}"
             overall.update(line.encode() + b"\n")
