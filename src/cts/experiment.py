@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown method '{self.method}'")
         if self.repeats < 1:
             raise ExperimentError("repeats must be >= 1")
+        if self.workers < 1:
+            raise ExperimentError(f"workers must be >= 1, got {self.workers}")
         if self.sanity and self.method != "cts":
             raise ExperimentError("sanity mode applies to the cts method")
         for s in self.sparsities:
@@ -346,18 +348,27 @@ def _write_csvs(out: Path, records: list[MetricsRecord]) -> None:
 
 def report(csv_paths: list) -> list[tuple[str, float, float, float, int]]:
     """Aggregate metrics CSVs: per (method, sparsity) mean and sample std of
-    accuracy over seeds. Returns [(method, sparsity, mean, std, n)]."""
-    groups: dict[tuple[str, float], list[float]] = {}
+    accuracy over seeds. Returns [(method, sparsity, mean, std, n)].
+
+    A (method, sparsity, seed) row that appears again, as in overlapping
+    CSVs, counts once; the same key with another accuracy is an error."""
+    seen: dict[tuple[str, float, int], float] = {}
     for path in csv_paths:
         for i, line in enumerate(Path(path).read_text().splitlines(), 1):
             if line.startswith("#") or line.startswith("method,"):
                 continue
             parts = line.split(",")
             try:
-                method, sparsity, acc = parts[0], float(parts[1]), float(parts[3])
+                key = parts[0], float(parts[1]), int(parts[2])
+                acc = float(parts[3])
             except (IndexError, ValueError):
                 raise ExperimentError(f"{path}:{i}: not a metrics row") from None
-            groups.setdefault((method, sparsity), []).append(acc)
+            if seen.setdefault(key, acc) != acc:
+                raise ExperimentError(f"{path}:{i}: {key[0]},{_fmt(key[1])},{key[2]} has "
+                                      f"accuracy {_fmt(acc)} here, {_fmt(seen[key])} before")
+    groups: dict[tuple[str, float], list[float]] = {}
+    for (method, sparsity, _), acc in seen.items():
+        groups.setdefault((method, sparsity), []).append(acc)
     rows = []
     for (method, sparsity), accs in sorted(groups.items()):
         arr = np.asarray(accs)

@@ -40,6 +40,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.steps <= 0:
             raise SearchError("search step count must be positive")
+        if self.batch_size <= 0:
+            raise SearchError(f"search batch_size must be positive, got {self.batch_size}")
+        if not self.alpha_lr > 0:
+            raise SearchError(f"alpha_lr must be positive, got {self.alpha_lr}")
         try:  # the rules the search applies when it starts, checked up front
             obj.get_kind(self.objective)
             mk.init_distribution(1, self.kappa, self.tau)

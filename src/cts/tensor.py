@@ -27,17 +27,20 @@ check stays per node, because a later op can absorb a non-finite value
 (relu(-inf) = 0).
 
 What a graph keeps: each node's output, and what its vjp reads besides its
-parents. A conv2d keeps its im2col columns for the weight adjoint, 9× its
-input for a 3×3 kernel at stride 1; a batch norm keeps x̂ and the inverse
-deviation. A conv's bias is added inside its node (``conv2d(bias=)``), so
-no pre-bias output is kept. ``backward`` drops a node's adjoint as soon as
-that node's vjp has run, unless the node is in ``wrt``, so a first-order
-sweep holds only the live frontier of adjoints on top of the graph;
-``conv2d_input_grad`` builds its Wᵀ g product one block of images at a time.
+parents. A conv2d keeps no im2col columns (9× its input for a 3×3 kernel
+at stride 1): its vjp rebuilds them from the input, which the graph holds
+anyway, when the weight needs an adjoint, so a first-order step builds each
+conv's columns twice, and the copy changes no bits. A batch norm keeps x̂
+and the inverse deviation. A conv's bias is added inside its node
+(``conv2d(bias=)``), so no pre-bias output is kept. ``backward`` drops a
+node's adjoint as soon as that node's vjp has run, unless the node is in
+``wrt``, so a first-order sweep holds only the live frontier of adjoints on
+top of the graph; ``conv2d_input_grad`` builds its Wᵀ g product one block
+of images at a time.
 
 Importing this module sets glibc's allocator policy for the process
 (``_keep_freed_heap``). A graph pass over a large batch, such as
-``hard_value`` on the 256-row eval batch, holds about 100 MB of arrays.
+``hard_value`` on the 256-row eval batch, holds about 45 MiB of arrays.
 Under glibc's defaults that heap top is handed back to the kernel when the
 graph is freed, and the next such pass faults some 40k pages in again.
 """
@@ -494,9 +497,15 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
            cols: np.ndarray | None = None, bias=None) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, OIHW filters.
 
-    ``cols`` is im2col(x) when the caller already has it. ``bias``, of shape
-    (co,), is added to each output channel in place, so a layer's conv and
-    bias are one node; its adjoint is the sum of g over (n, oh, ow).
+    ``cols`` is im2col(x) when the caller already has it; the node keeps
+    such columns, since their owner holds them anyway. Columns it builds
+    itself are dropped after the product and rebuilt from ``x`` in the vjp,
+    after the input adjoint, when the weight needs an adjoint; under
+    ``create_graph`` the vjp keeps the rebuilt columns (the
+    ``conv2d_weight_grad`` node holds them too), so a second backward reuses
+    them. ``bias``, of shape (co,), is added to each output channel in
+    place, so a layer's conv and bias are one node; its adjoint is the sum
+    of g over (n, oh, ow).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -508,21 +517,27 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
         if bias.shape != (co,):
             raise ShapeError("conv2d", w.shape, bias.shape)
     oh, ow = _out_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
-    if cols is None:
-        cols = _im2col(x.data, kh, kw, stride, padding)
+    xcols = _im2col(x.data, kh, kw, stride, padding) if cols is None else cols
     wm = w.data.reshape(co, -1)
-    if _row_major_product(cols.shape[1], co):
-        out = (np.ascontiguousarray(cols.T) @ wm.T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    if _row_major_product(xcols.shape[1], co):
+        out = (np.ascontiguousarray(xcols.T) @ wm.T).reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
     else:
-        out = (wm @ cols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
+        out = (wm @ xcols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
+    del xcols
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data.reshape(1, co, 1, 1)
 
     def vjp(g):
-        return (conv2d_input_grad(g, w, x.shape, stride, padding) if x.requires_grad else None,
-                conv2d_weight_grad(x, g, w.shape, stride, padding, cols=cols)
-                if w.requires_grad else None,
+        nonlocal cols
+        gx = conv2d_input_grad(g, w, x.shape, stride, padding) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            c = _im2col(x.data, kh, kw, stride, padding) if cols is None else cols
+            if _grad_enabled:
+                cols = c
+            gw = conv2d_weight_grad(x, g, w.shape, stride, padding, cols=c)
+        return (gx, gw,
                 sum_(g, axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None)
 
     parents = (x, w) if bias is None else (x, w, bias)

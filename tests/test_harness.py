@@ -553,6 +553,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("method,")
 
+    def test_report_counts_each_seed_once(self, tmp_path, capsys):
+        # a row seen in two CSVs is one seed; the same key with another
+        # accuracy is a conflict, named in a one-line error
+        run_experiment(_exp_cfg(tmp_path))
+        metrics = tmp_path / "metrics.csv"
+        assert cli_main(["report", str(metrics), str(metrics)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "cts" and row[-1] == "1"
+        lines = metrics.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "0" if float(fields[3]) else "1"
+        lines[2] = ",".join(fields)
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", str(metrics), str(other)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert ",".join(fields[:3]) in err and len(err.splitlines()) == 1
+
     def test_usage_error_exit_code(self):
         assert cli_main(["search", "--objective", "entropy"]) == 2
         assert cli_main(["frobnicate"]) == 2
@@ -628,7 +646,9 @@ class TestCli:
                            (task + "[sweep]\nmethod = snip\nsanity = true", "sanity"),
                            (task.replace(DATASET, f"{DATASET},clases=3"), "clases"),
                            (task.replace("tiny-mlp", "lenet-c4"), "lenet-c4"),
-                           (task + "[sweep]\nsparsities = 0.5, 0.5", "repeated")]:
+                           (task + "[sweep]\nsparsities = 0.5, 0.5", "repeated"),
+                           (task + "[search]\nbatch_size = 0", "batch_size"),
+                           (task + "[search]\nalpha_lr = -0.5", "alpha_lr")]:
             ini.write_text(text + "\n")
             assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
             assert not (out / "cells").exists()
@@ -656,7 +676,8 @@ class TestCli:
                            (["sweep", "--dataset", "blobs:classes=1"], "classes"),
                            (["sanity", "--dataset", "blobs:dim=15,image=1"], "square"),
                            (["sweep", "--dataset", DATASET, "--sparsities", "0.5,0.5"],
-                            "repeated")]:
+                            "repeated"),
+                           (["sweep", "--dataset", DATASET, "--workers", "-2"], "workers")]:
             assert cli_main(argv + ["--out", str(out)]) == 2
             assert not out.exists()
             err = capsys.readouterr().err.strip()

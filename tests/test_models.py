@@ -1,5 +1,7 @@
 """Model construction, masked forward and training tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,8 +99,10 @@ class TestGraphSize:
         assert 6 not in ndims
 
     def test_resnet_grad_step_counts(self, monkeypatch):
-        # one `grad` search step: adjoints only for parents that need one, and
-        # one column build per conv2d_input_grad vjp, shared by both its adjoints
+        # one `grad` search step: adjoints only for parents that need one, one
+        # column build per conv2d_input_grad vjp, shared by both its adjoints,
+        # and one rebuild per conv2d weight adjoint, which the first backward
+        # keeps for the second (the graph holds no forward columns)
         from cts.mask import sample_logistic, step_rng
         model = build_model("resnet-tiny", 0, (1, 8, 8), 4)
         rng = np.random.default_rng(9)
@@ -119,7 +123,49 @@ class TestGraphSize:
         obj.value_and_alpha_grad("grad", model, x, y, rng.standard_normal(model.d),
                                  sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
         assert counts["nodes"] <= 815
-        assert counts["im2col"] == 20
+        assert counts["im2col"] == 34
+
+    def test_train_step_builds_columns_twice_per_conv(self, monkeypatch):
+        # a first-order step builds each conv's columns in the forward and
+        # again in its weight adjoint, and keeps neither
+        model = build_model("resnet-tiny", 0, (1, 8, 8), 2)
+        ops, builds = [], []
+        real_make, real_im2col = T._make, T._im2col
+
+        def counting_make(data, op, parents, vjp):
+            ops.append(op)
+            return real_make(data, op, parents, vjp)
+
+        def counting_im2col(*args):
+            builds.append(args[0].shape)
+            return real_im2col(*args)
+
+        monkeypatch.setattr(T, "_make", counting_make)
+        monkeypatch.setattr(T, "_im2col", counting_im2col)
+        train(model, small_data(image=True, dim=64), TrainConfig(steps=1, batch_size=8))
+        assert ops.count("conv2d") == 7
+        assert len(builds) == 2 * ops.count("conv2d")
+
+    def test_resnet_first_order_pass_peaks(self):
+        # traced peaks of the large first-order passes on resnet-tiny; while
+        # each conv2d node kept its im2col columns they read 117.5 MiB (the
+        # 320-row saliency batch) and 94.8 MiB (hard_value of grad on the
+        # 256-row eval batch), without them 55.5 and 44.3 MiB
+        model = build_model("resnet-tiny", 0)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((320, 1, 8, 8)), rng.integers(0, 4, 320)
+        mask = (rng.random(model.d) < 0.5).astype(np.float64)
+        peaks = []
+        for run in (lambda: obj.loss_grads(model, x, y),
+                    lambda: obj.hard_value("grad", model, x[:256], y[:256], mask)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 66 * 2 ** 20
+        assert peaks[1] < 54 * 2 ** 20
 
 
 class TestLayerViews:
