@@ -5,7 +5,8 @@ sweep (full grid), sanity (the cts grid with its shuffle, invert and reinit
 ablations; in an INI config, ``[sweep] sanity``), oracle (brute force),
 report (aggregate CSVs). With ``--config``, the file sets a sweep's grid and
 ``--out`` is the one flag allowed beside it; ``sanity --config`` runs that
-grid in sanity mode. Exit codes: 0 ok, 1 cell failures, 2 usage error.
+grid in sanity mode. Exit codes: 0 ok, 1 a failed run or cell failures,
+2 usage error. Either error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,12 +20,18 @@ from pathlib import Path
 
 from . import mask as mk
 from . import objectives as obj
+from .baselines import BaselineError
 from .data import DataError, load_dataset
 from .experiment import (METHODS, ExperimentConfig, ExperimentError, load_config,
                          report, run_cell, run_experiment)
-from .models import ARCHS, TrainConfig, evaluate
+from .models import ARCHS, DivergenceError, TrainConfig, evaluate
 from .oracle import OracleError, brute_force_oracle
 from .search import SearchConfig, SearchError, rewind_point, run_cts
+from .tensor import NonFiniteError
+
+# what a run with a valid config can still die of: training that diverges,
+# a pruner that empties a layer, a pass that turns non-finite
+_RUN_FAILURES = (DivergenceError, BaselineError, NonFiniteError)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -245,7 +252,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _RUN_FAILURES as e:
+        print(f"cts {args.command}: run failed: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -114,6 +114,10 @@ class TrainConfig(StepSchedule):
             raise ValueError("rewind step must satisfy 0 <= k < T")
         if self.lr <= 0 or self.batch_size <= 0:
             raise ValueError("rates and batch size must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -268,6 +272,37 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return T.neg(T.mean(T.sum_(T.mul(logp, Tensor(onehot)), axis=-1)))
 
 
+def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | None) -> Tensor:
+    """``h`` through ``specs``; post-relu activations go to ``features``
+    unless it is None. A module-level function, so a pass closes over
+    nothing and forms no reference cycle."""
+    for s in specs:
+        if isinstance(s, Dense):
+            h = T.add(T.matmul(h, params[s.name + ".w"]), params[s.name + ".b"])
+        elif isinstance(s, Conv):
+            h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding,
+                         bias=params[s.name + ".b"])
+        elif isinstance(s, BatchNorm):
+            h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS)
+        elif isinstance(s, Relu):
+            h = T.relu(h)
+            if features is not None:
+                features.append(h)
+        elif isinstance(s, AvgPool):
+            h = T.avg_pool2d(h, s.k)
+        elif isinstance(s, GlobalAvgPool):
+            h = T.mean(h, axis=(2, 3))
+        elif isinstance(s, Flatten):
+            h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
+        elif isinstance(s, ResBlock):
+            h = T.relu(T.add(h, _run(s.inner, h, params, features)))
+            if features is not None:
+                features.append(h)
+        else:
+            raise ModelError(f"unknown spec {s}")
+    return h
+
+
 def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
             capture_features: bool = False,
             param_tensors: dict[str, Tensor] | None = None) -> ForwardTrace:
@@ -278,42 +313,14 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
     every other parameter is read from ``model.params``. Hard masks go
     through ``ModelState.masked`` instead. Each batch norm is one
     ``tensor.batch_norm`` node with current-batch statistics. Features are
-    the post-relu activations, logits excluded.
+    the post-relu activations, logits excluded. A pass forms no reference
+    cycle, so its graph is freed with the last reference to the trace.
     """
     params = {k: Tensor(v) for k, v in model.params.items()}
     params.update(param_tensors or {})
-
     features: list[Tensor] = []
-
-    def run(specs, h: Tensor) -> Tensor:
-        for s in specs:
-            if isinstance(s, Dense):
-                h = T.add(T.matmul(h, params[s.name + ".w"]), params[s.name + ".b"])
-            elif isinstance(s, Conv):
-                h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding,
-                             bias=params[s.name + ".b"])
-            elif isinstance(s, BatchNorm):
-                h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS)
-            elif isinstance(s, Relu):
-                h = T.relu(h)
-                if capture_features:
-                    features.append(h)
-            elif isinstance(s, AvgPool):
-                h = T.avg_pool2d(h, s.k)
-            elif isinstance(s, GlobalAvgPool):
-                h = T.mean(h, axis=(2, 3))
-            elif isinstance(s, Flatten):
-                h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
-            elif isinstance(s, ResBlock):
-                h = T.relu(T.add(h, run(s.inner, h)))
-                if capture_features:
-                    features.append(h)
-            else:
-                raise ModelError(f"unknown spec {s}")
-        return h
-
     x_arr = np.asarray(x, dtype=np.float64)
-    logits = run(model.specs, Tensor(x_arr))
+    logits = _run(model.specs, Tensor(x_arr), params, features if capture_features else None)
     loss = cross_entropy(logits, np.asarray(y)) if y is not None else Tensor(np.asarray(0.0))
     return ForwardTrace(logits=logits, features=features, loss=loss)
 
@@ -338,6 +345,15 @@ def _decayable(name: str) -> bool:
     return name.endswith(".w")
 
 
+def _param_grads(model: ModelState, names: list[str], x, y) -> list[np.ndarray]:
+    """The loss gradient for each parameter in ``names``, as arrays. The
+    step's graph and leaves are locals here, so they are freed on return,
+    before the caller builds the next step's graph."""
+    leaves = {n: Tensor(model.params[n], requires_grad=True) for n in names}
+    loss = forward(model, x, y, param_tensors=leaves).loss
+    return [g.data for g in T.backward(loss, wrt=[leaves[n] for n in names])]
+
+
 def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = None,
           start_step: int = 0, stop_step: int | None = None) -> ModelState:
     """SGD with momentum and weight decay; masked entries stay exactly zero.
@@ -357,9 +373,7 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
     for step in range(start_step, stop):
         xb, yb = data.batch(step, cfg.batch_size, cfg.seed)
         try:
-            leaves = {n: Tensor(out.params[n], requires_grad=True) for n in names}
-            trace = forward(out, xb, yb, param_tensors=leaves)
-            grads = T.backward(trace.loss, wrt=[leaves[n] for n in names])
+            grads = _param_grads(out, names, xb, yb)
             bad_steps = 0
         except T.NonFiniteError:
             bad_steps += 1
@@ -367,8 +381,7 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
                 raise DivergenceError(f"non-finite loss for {bad_steps} consecutive steps")
             continue
         lr = cfg.lr_at(step)
-        for n, gn in zip(names, grads):
-            g = gn.data
+        for n, g in zip(names, grads):
             lm = layer_masks.get(n)
             if cfg.weight_decay and _decayable(n):
                 decay = cfg.weight_decay * out.params[n]

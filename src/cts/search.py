@@ -44,6 +44,8 @@ class SearchConfig:
             raise SearchError(f"search batch_size must be positive, got {self.batch_size}")
         if not self.alpha_lr > 0:
             raise SearchError(f"alpha_lr must be positive, got {self.alpha_lr}")
+        if not self.lambda_lr > 0:
+            raise SearchError(f"lambda_lr must be positive, got {self.lambda_lr}")
         try:  # the rules the search applies when it starts, checked up front
             obj.get_kind(self.objective)
             mk.init_distribution(1, self.kappa, self.tau)

@@ -36,7 +36,11 @@ and the inverse deviation. A conv's bias is added inside its node
 node's adjoint as soon as that node's vjp has run, unless the node is in
 ``wrt``, so a first-order sweep holds only the live frontier of adjoints on
 top of the graph; ``conv2d_input_grad`` builds its Wᵀ g product one block
-of images at a time.
+of images at a time. A node refers only to its parents and its vjp's
+closure, never back to itself or its children, and no pass in the package
+forms a reference cycle, so a graph is freed by reference counting the
+moment its last reference goes, not whenever the cyclic collector runs.
+``models.train`` drops each step's graph before the next step's forward.
 
 Importing this module sets glibc's allocator policy for the process
 (``_keep_freed_heap``). A graph pass over a large batch, such as

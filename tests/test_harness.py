@@ -17,7 +17,7 @@ from cts.data import (DataError, Dataset, load_dataset, load_idx, make_blobs,
 from cts.experiment import (ExperimentConfig, MetricsRecord, load_config,
                             report, run_experiment)
 from cts.mask import load_ticket, ticket_size
-from cts.models import TrainConfig, build_model
+from cts.models import DivergenceError, TrainConfig, build_model
 from cts.objectives import hard_value
 from cts.oracle import OracleError, brute_force_oracle
 from cts.search import SearchConfig
@@ -613,6 +613,27 @@ class TestCli:
         assert "cts_s0.98_r0" in failures
         assert all("empty ticket" in err for err in failures.values())
 
+    def test_failed_run_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a run that fails on a valid config exits 1 with one line, no traceback:
+        # SynFlow empties fc2 of tiny-mlp at kappa 0.09 ...
+        out = ["--out", str(tmp_path / "out")]
+        assert cli_main(["baseline", "--method", "synflow", "--arch", "tiny-mlp",
+                         "--dataset", "blobs:classes=2,dim=4,n=200,seed=1", "--kappa", "0.09",
+                         "--train-steps", "5"] + out) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "cts baseline: run failed: layer collapse: 'fc2.w' fully pruned"
+
+        # ... and training that diverges fails every command that trains
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite loss for 50 consecutive steps")
+
+        monkeypatch.setattr(search, "train", diverge)
+        common = ["--dataset", DATASET, "--arch", "tiny-mlp", "--kappa", "0.5"] + out
+        for argv in (["search"], ["baseline", "--method", "snip"], ["oracle"]):
+            assert cli_main(argv + common) == 1
+            err = capsys.readouterr().err.strip()
+            assert err == f"cts {argv[0]}: run failed: non-finite loss for 50 consecutive steps"
+
     def test_sanity_config_file(self, tmp_path, capsys):
         # `cts sanity --config` runs the file's grid in sanity mode; a grid
         # flag beside --config is a usage error, not silently dropped
@@ -648,7 +669,9 @@ class TestCli:
                            (task.replace("tiny-mlp", "lenet-c4"), "lenet-c4"),
                            (task + "[sweep]\nsparsities = 0.5, 0.5", "repeated"),
                            (task + "[search]\nbatch_size = 0", "batch_size"),
-                           (task + "[search]\nalpha_lr = -0.5", "alpha_lr")]:
+                           (task + "[search]\nalpha_lr = -0.5", "alpha_lr"),
+                           (task + "[train]\nmomentum = 1.5", "momentum"),
+                           (task + "[train]\nweight_decay = -0.1", "weight_decay")]:
             ini.write_text(text + "\n")
             assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
             assert not (out / "cells").exists()
@@ -677,7 +700,9 @@ class TestCli:
                            (["sanity", "--dataset", "blobs:dim=15,image=1"], "square"),
                            (["sweep", "--dataset", DATASET, "--sparsities", "0.5,0.5"],
                             "repeated"),
-                           (["sweep", "--dataset", DATASET, "--workers", "-2"], "workers")]:
+                           (["sweep", "--dataset", DATASET, "--workers", "-2"], "workers"),
+                           (["search", "--controller", "lagrange", "--lambda-lr", "-0.5"],
+                            "lambda_lr")]:
             assert cli_main(argv + ["--out", str(out)]) == 2
             assert not out.exists()
             err = capsys.readouterr().err.strip()

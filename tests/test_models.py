@@ -167,6 +167,22 @@ class TestGraphSize:
         assert peaks[0] < 66 * 2 ** 20
         assert peaks[1] < 54 * 2 ** 20
 
+    def test_masked_train_frees_each_step_graph(self):
+        # traced peak of 20 masked resnet-tiny steps at batch 32; while the
+        # last step's graph stayed alive during the next forward, and each
+        # forward left a reference cycle, it read 9.0 MiB, without both 6.2
+        data = small_data(image=True, dim=64, classes=4)
+        model = build_model("resnet-tiny", 0, data.input_shape, data.num_classes)
+        mask = (np.random.default_rng(0).random(model.d) < 0.5).astype(np.int64)
+        cfg = TrainConfig(steps=20, batch_size=32)
+        tracemalloc.start()
+        try:
+            train(model, data, cfg, mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2 ** 20
+
 
 class TestLayerViews:
     def test_views_cut_a_vector_by_layer(self):
