@@ -35,7 +35,7 @@ def grasp_scores(model: ModelState, batch) -> np.ndarray:
     """-(H g) * theta, with the Hessian-vector product Hg by double-backward."""
     x, y = batch
     leaves = obj.maskable_leaves(model)
-    grads = obj.loss_grads(model, x, y, param_tensors=leaves, create_graph=True)
+    grads = obj.loss_grads(model, x, y, leaves, create_graph=True)
     g_dot_g = sum(T.sum_(T.mul(g, g.detach())) for g in grads)
     hg = np.concatenate([h.data.reshape(-1) for h in T.backward(g_dot_g, list(leaves.values()))])
     return -(hg * model.maskable_vector())

@@ -5,14 +5,17 @@ sweep (full grid), sanity (the cts grid with its shuffle, invert and reinit
 ablations; in an INI config, ``[sweep] sanity``), oracle (brute force),
 report (aggregate CSVs). With ``--config``, the file sets a sweep's grid and
 ``--out`` is the one flag allowed beside it; ``sanity --config`` runs that
-grid in sanity mode. Exit codes: 0 ok, 1 a failed run or cell failures,
-2 usage error. Either error is one line on stderr.
+grid in sanity mode. A flag left out takes its config field's default, as
+an INI key does (``--steps``: ``SearchConfig.steps``, 1,000). Exit codes:
+0 ok; 1 a run failed on a valid config (divergence, layer collapse, a
+non-finite pass) or a sweep cell failed; 2 a usage error (a bad flag,
+config value or dataset spec, an unreadable file, an empty ticket). Either
+error is one line on stderr from ``main``; any other exception is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from dataclasses import fields, replace
@@ -22,9 +25,9 @@ from . import mask as mk
 from . import objectives as obj
 from .baselines import BaselineError
 from .data import DataError, load_dataset
-from .experiment import (METHODS, ExperimentConfig, ExperimentError, load_config,
+from .experiment import (METHODS, ExperimentConfig, ExperimentError, _floats, load_config,
                          report, run_cell, run_experiment)
-from .models import ARCHS, DivergenceError, TrainConfig, evaluate
+from .models import ARCHS, DivergenceError, TrainConfig, TrainConfigError, evaluate
 from .oracle import OracleError, brute_force_oracle
 from .search import SearchConfig, SearchError, rewind_point, run_cts
 from .tensor import NonFiniteError
@@ -32,34 +35,38 @@ from .tensor import NonFiniteError
 # what a run with a valid config can still die of: training that diverges,
 # a pruner that empties a layer, a pass that turns non-finite
 _RUN_FAILURES = (DivergenceError, BaselineError, NonFiniteError)
+# what a bad flag, config value, dataset spec or input file raises
+_USAGE_ERRORS = (DataError, ExperimentError, mk.MaskError, OracleError, SearchError,
+                 TrainConfigError)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.add_argument("--dataset", default="blobs:classes=4,dim=20,n=4000,seed=7")
-    p.add_argument("--arch", default="mlp-2x256", choices=ARCHS)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--out", default=ExperimentConfig.out_dir)
+    p.add_argument("--dataset", default=ExperimentConfig.dataset)
+    p.add_argument("--arch", default=ExperimentConfig.arch, choices=ARCHS)
 
 
 def _add_kappa(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kappa", type=float, default=0.05, help="target density")
+    p.add_argument("--kappa", type=float, default=SearchConfig.kappa, help="target density")
 
 
 def _add_ticket_args(p: argparse.ArgumentParser) -> None:
     """The objective that scores a ticket, and the training around it."""
-    p.add_argument("--objective", default="kl", choices=sorted(obj.OBJECTIVES))
-    p.add_argument("--train-steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--rewind-step", type=int, default=0)
+    p.add_argument("--objective", default=SearchConfig.objective, choices=sorted(obj.OBJECTIVES))
+    p.add_argument("--train-steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--rewind-step", type=int, default=TrainConfig.rewind_step)
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     """How the CTS search runs; a baseline reads none of these."""
-    p.add_argument("--controller", default="gradbalance", choices=["gradbalance", "lagrange"])
-    p.add_argument("--steps", type=int, default=500, help="search steps")
-    p.add_argument("--eta", type=float, default=0.99)
-    p.add_argument("--lambda-lr", type=float, default=0.01)
-    p.add_argument("--tau", type=float, default=mk.TAU_DEFAULT)
+    p.add_argument("--controller", default=SearchConfig.controller,
+                   choices=["gradbalance", "lagrange"])
+    p.add_argument("--steps", type=int, default=SearchConfig.steps, help="search steps")
+    p.add_argument("--eta", type=float, default=SearchConfig.eta)
+    p.add_argument("--lambda-lr", type=float, default=SearchConfig.lambda_lr)
+    p.add_argument("--tau", type=float, default=SearchConfig.tau)
 
 
 def _search_cfg(args) -> SearchConfig:
@@ -76,17 +83,10 @@ def _train_cfg(args) -> TrainConfig:
 
 
 def cmd_search(args) -> int:
-    try:
-        cfg, tcfg = _search_cfg(args), _train_cfg(args)
-        data = load_dataset(args.dataset)
-    except (SearchError, DataError, ValueError) as e:
-        print(f"cts search: bad config: {e}", file=sys.stderr)
-        return 2
-    try:  # an empty ticket is caught before any training
-        ticket, final, info = run_cts(cfg, args.arch, data, tcfg)
-    except mk.MaskError as e:
-        print(f"cts search: bad config: {e}", file=sys.stderr)
-        return 2
+    cfg, tcfg = _search_cfg(args), _train_cfg(args)
+    data = load_dataset(args.dataset)
+    # an empty ticket is caught before any training
+    ticket, final, info = run_cts(cfg, args.arch, data, tcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "ticket.json", ticket, arch=args.arch, kappa=args.kappa)
@@ -107,19 +107,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    try:
-        cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
-                               sparsities=(1.0 - args.kappa,), repeats=1, seed=args.seed,
-                               out_dir=args.out, search=_search_cfg(args),
-                               train=_train_cfg(args))
-    except (ExperimentError, SearchError, ValueError) as e:
-        print(f"cts baseline: bad config: {e}", file=sys.stderr)
-        return 2
-    try:  # an empty ticket is caught before any training
-        record, ticket = run_cell(cfg, 1.0 - args.kappa, 0)
-    except (DataError, mk.MaskError) as e:
-        print(f"cts baseline: bad config: {e}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
+                           sparsities=(1.0 - args.kappa,), repeats=1, seed=args.seed,
+                           out_dir=args.out, search=_search_cfg(args), train=_train_cfg(args))
+    # an empty ticket is caught before any training
+    record, ticket = run_cell(cfg, 1.0 - args.kappa, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "ticket.json", ticket, arch=args.arch, kappa=args.kappa,
@@ -139,41 +131,32 @@ class _NoteGiven(argparse.Action):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        if args.config:
-            # the file sets the grid; only the output directory and the
-            # subcommand's sanity mode come from the command line
-            beside = [f for f in args.given if f not in ("--config", "--out")]
-            if beside:
-                print(f"cts {args.command}: usage error: {', '.join(beside)} cannot be "
-                      f"given with --config; set it in the file", file=sys.stderr)
-                return 2
-            cfg = load_config(args.config)
-            cfg = replace(cfg, out_dir=args.out if "--out" in args.given else cfg.out_dir,
-                          sanity=cfg.sanity or args.command == "sanity")
-        else:
-            cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
-                                   sparsities=tuple(float(s) for s in args.sparsities.split(",")),
-                                   repeats=args.repeats, seed=args.seed, out_dir=args.out,
-                                   search=_search_cfg(args), train=_train_cfg(args),
-                                   workers=args.workers, sanity=args.sanity)
-    except (ExperimentError, SearchError, ValueError, configparser.Error) as e:
-        print(f"cts {args.command}: bad config: {e}", file=sys.stderr)
-        return 2
+    if args.config:
+        # the file sets the grid; only the output directory and the
+        # subcommand's sanity mode come from the command line
+        beside = [f for f in args.given if f not in ("--config", "--out")]
+        if beside:
+            raise ExperimentError(f"{', '.join(beside)} cannot be given with --config; "
+                                  f"set it in the file")
+        cfg = load_config(args.config)
+        cfg = replace(cfg, out_dir=args.out if "--out" in args.given else cfg.out_dir,
+                      sanity=cfg.sanity or args.command == "sanity")
+    else:
+        cfg = ExperimentConfig(dataset=args.dataset, arch=args.arch, method=args.method,
+                               sparsities=args.sparsities, repeats=args.repeats,
+                               seed=args.seed, out_dir=args.out, search=_search_cfg(args),
+                               train=_train_cfg(args), workers=args.workers,
+                               sanity=args.sanity)
     records, failures = run_experiment(cfg)
     print(f"cells={len(records)} failures={len(failures)} out={cfg.out_dir}")
     return 1 if failures else 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        data = load_dataset(args.dataset)
-        model = rewind_point(args.arch, args.seed, data, _train_cfg(args), args.kappa)
-        batch = data.eval_batch(seed=args.seed)
-        best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
-    except (DataError, mk.MaskError, OracleError, ValueError) as e:
-        print(f"cts oracle: bad config: {e}", file=sys.stderr)
-        return 2
+    data = load_dataset(args.dataset)
+    model = rewind_point(args.arch, args.seed, data, _train_cfg(args), args.kappa)
+    batch = data.eval_batch(seed=args.seed)
+    best, table = brute_force_oracle(model, batch, args.kappa, args.objective)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mk.save_ticket(out / "oracle_best.json", best, arch=args.arch, kappa=args.kappa)
@@ -186,11 +169,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        rows = report(args.csvs)
-    except (OSError, ExperimentError) as e:
-        print(f"cts report: {e}", file=sys.stderr)
-        return 2
+    rows = report(args.csvs)
     print("method,sparsity,mean_accuracy,std_accuracy,n")
     for method, sparsity, mean, std, n in rows:
         print(f"{method},{sparsity:.6g},{mean:.6g},{std:.6g},{n}")
@@ -224,21 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="INI config file; no flag but --out may be given with it")
         if name == "sweep":
-            p.add_argument("--method", default="cts", choices=METHODS)
-        p.add_argument("--sparsities", default="0.95")
-        p.add_argument("--repeats", type=int, default=1)
-        p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--method", default=ExperimentConfig.method, choices=METHODS)
+        p.add_argument("--sparsities", type=_floats, default=ExperimentConfig.sparsities)
+        p.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
+        p.add_argument("--workers", type=int, default=ExperimentConfig.workers)
         # sanity has no --method: its suite is the cts cell and its ablations
         p.set_defaults(fn=cmd_sweep, method="cts", sanity=name == "sanity")
 
     p = sub.add_parser("oracle", help="brute-force mask enumeration")
     _add_common(p)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--objective", default="loss", choices=sorted(obj.OBJECTIVES))
-    p.add_argument("--rewind-step", type=int, default=0)
-    p.add_argument("--train-steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.set_defaults(fn=cmd_oracle)
+    _add_ticket_args(p)
+    p.set_defaults(fn=cmd_oracle, objective="loss")
 
     p = sub.add_parser("report", help="aggregate metrics CSVs")
     p.add_argument("csvs", nargs="+")
@@ -257,6 +233,9 @@ def main(argv=None) -> int:
     except _RUN_FAILURES as e:
         print(f"cts {args.command}: run failed: {e}", file=sys.stderr)
         return 1
+    except _USAGE_ERRORS as e:
+        print(f"cts {args.command}: usage error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import inspect
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -139,7 +140,8 @@ def parse_dataset_spec(spec: str) -> tuple[str, dict]:
     Forms: ``blobs:classes=4,dim=20,n=4000,seed=7,separation=10,image=0``
     or ``idx:images=<path>,labels=<path>``. Builds nothing; raises DataError
     for an unknown kind, a key the kind does not read, or a bad value,
-    including blobs values that make_blobs would reject.
+    including a negative seed, an idx path that is not a file and blobs
+    values that make_blobs would reject.
     """
     kind, _, rest = spec.partition(":")
     if kind not in _SPEC_KEYS:
@@ -154,8 +156,11 @@ def parse_dataset_spec(spec: str) -> tuple[str, dict]:
             kwargs[key] = types[key](value)
         except ValueError:
             raise DataError(f"{kind} dataset key '{key}': bad value {value!r}") from None
-    if kind == "idx" and not {"images", "labels"} <= kwargs.keys():
-        raise DataError("idx dataset needs images=<path>,labels=<path>")
+    if kwargs.get("seed", 0) < 0:
+        raise DataError(f"{kind} dataset key 'seed' must be >= 0, got {kwargs['seed']}")
+    for key in ("images", "labels") if kind == "idx" else ():
+        if not Path(kwargs.get(key, "")).is_file():
+            raise DataError(f"idx dataset needs {key}=<path of a file>, got {kwargs.get(key)!r}")
     if kind == "blobs":
         args = inspect.signature(make_blobs).bind(**kwargs)
         args.apply_defaults()

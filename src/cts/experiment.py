@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown method '{self.method}'")
         if self.repeats < 1:
             raise ExperimentError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ExperimentError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {self.workers}")
         if self.sanity and self.method != "cts":
@@ -354,7 +356,11 @@ def report(csv_paths: list) -> list[tuple[str, float, float, float, int]]:
     CSVs, counts once; the same key with another accuracy is an error."""
     seen: dict[tuple[str, float, int], float] = {}
     for path in csv_paths:
-        for i, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeError) as e:
+            raise ExperimentError(f"cannot read metrics CSV {path}: {e}") from e
+        for i, line in enumerate(text.splitlines(), 1):
             if line.startswith("#") or line.startswith("method,"):
                 continue
             parts = line.split(",")
@@ -421,7 +427,10 @@ def load_config(path) -> ExperimentConfig:
     silently leave its default in place.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeError) as e:
+        raise ExperimentError(f"cannot parse config file {path}: {' '.join(str(e).split())}") from e
     if not read:
         raise ExperimentError(f"cannot read config file {path}")
     parts: dict = {None: {}, "search": {}, "train": {}}
@@ -432,7 +441,10 @@ def load_config(path) -> ExperimentConfig:
         for key, value in cp[section].items():
             if key not in keys:
                 raise ExperimentError(f"unknown key '{key}' in [{section}] of {path}")
-            parts[part][_CONFIG_FIELDS.get(key, key)] = keys[key](value)
+            try:
+                parts[part][_CONFIG_FIELDS.get(key, key)] = keys[key](value)
+            except ValueError as e:
+                raise ExperimentError(f"{path}: [{section}] {key} = {value}: {e}") from e
     # built with the constructors, so that every config class checks its values
     return ExperimentConfig(**parts[None], search=SearchConfig(**parts["search"]),
                             train=TrainConfig(**parts["train"]))

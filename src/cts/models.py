@@ -30,6 +30,10 @@ class DivergenceError(ModelError):
     pass
 
 
+class TrainConfigError(ModelError, ValueError):
+    pass
+
+
 # -- layer specs ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -111,13 +115,19 @@ class TrainConfig(StepSchedule):
 
     def __post_init__(self):
         if not (0 <= self.rewind_step < self.steps or self.steps == 0):
-            raise ValueError("rewind step must satisfy 0 <= k < T")
+            raise TrainConfigError("rewind step must satisfy 0 <= k < T")
         if self.lr <= 0 or self.batch_size <= 0:
-            raise ValueError("rates and batch size must be positive")
+            raise TrainConfigError("rates and batch size must be positive")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise TrainConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise TrainConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise TrainConfigError(f"train seed must be >= 0, got {self.seed}")
+        for step, factor in self.lr_drops:
+            if step < 0 or not (np.isfinite(factor) and factor > 0):
+                raise TrainConfigError(f"lr_drops entry {step}:{factor} needs step >= 0, "
+                                       f"factor finite and > 0")
 
 
 @dataclass
@@ -340,18 +350,19 @@ def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray,
     return correct / len(x), float(np.sum(losses) / len(x))
 
 
+def loss_grads(model: ModelState, x, y, leaves: dict[str, Tensor],
+               create_graph: bool = False) -> list[Tensor]:
+    """The loss gradient for each tracked Tensor in ``leaves`` (parameter
+    name -> the Tensor ``forward`` uses in its place), in that order, in a
+    graph of their own under ``create_graph``. Otherwise the pass's graph is
+    local here and freed on return, before a caller builds the next one."""
+    loss = forward(model, x, y, param_tensors=leaves).loss
+    return T.backward(loss, list(leaves.values()), create_graph=create_graph)
+
+
 def _decayable(name: str) -> bool:
     # weight decay on dense/conv weights only, never biases or batch-norm
     return name.endswith(".w")
-
-
-def _param_grads(model: ModelState, names: list[str], x, y) -> list[np.ndarray]:
-    """The loss gradient for each parameter in ``names``, as arrays. The
-    step's graph and leaves are locals here, so they are freed on return,
-    before the caller builds the next step's graph."""
-    leaves = {n: Tensor(model.params[n], requires_grad=True) for n in names}
-    loss = forward(model, x, y, param_tensors=leaves).loss
-    return [g.data for g in T.backward(loss, wrt=[leaves[n] for n in names])]
 
 
 def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = None,
@@ -373,7 +384,8 @@ def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = N
     for step in range(start_step, stop):
         xb, yb = data.batch(step, cfg.batch_size, cfg.seed)
         try:
-            grads = _param_grads(out, names, xb, yb)
+            grads = [g.data for g in loss_grads(
+                out, xb, yb, {n: Tensor(out.params[n], requires_grad=True) for n in names})]
             bad_steps = 0
         except T.NonFiniteError:
             bad_steps += 1

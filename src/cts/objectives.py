@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .mask import soft_mask
-from .models import ForwardTrace, ModelState, forward
+from .models import ForwardTrace, ModelState, forward, loss_grads
 from .tensor import Tensor
 
 NORM_DELTA = 1e-5
@@ -113,20 +113,9 @@ def maskable_leaves(model: ModelState) -> dict[str, Tensor]:
             for name, _, _ in model.maskable_index}
 
 
-def loss_grads(model: ModelState, x, y, param_tensors: dict[str, Tensor] | None = None,
-               create_graph: bool = False) -> list[Tensor]:
-    """Loss gradients w.r.t. the tracked maskable weights ``param_tensors``
-    (default: ``maskable_leaves``), one per layer in layer order; with
-    ``create_graph`` they can be differentiated again."""
-    param_tensors = maskable_leaves(model) if param_tensors is None else param_tensors
-    trace = forward(model, x, y, param_tensors=param_tensors)
-    wrt = [param_tensors[name] for name, _, _ in model.maskable_index]
-    return T.backward(trace.loss, wrt, create_graph=create_graph)
-
-
 def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
     """Per-layer loss gradients w.r.t. the maskable weights, as arrays."""
-    return [g.data for g in loss_grads(model, x, y)]
+    return [g.data for g in loss_grads(model, x, y, maskable_leaves(model))]
 
 
 def teacher_pass(tag: str, model: ModelState, x, y) -> ForwardTrace | list[np.ndarray] | None:
@@ -175,7 +164,7 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
     if overlay is None:
         grads = [Tensor(g) for g in teacher_layer_grads(model, x, y)]
     elif all(w.requires_grad for w in weights.values()):
-        grads = loss_grads(model, x, y, param_tensors=weights, create_graph=True)
+        grads = loss_grads(model, x, y, weights, create_graph=True)
     else:
         raise ObjectiveError(f"'{tag}' needs a tracked soft-mask overlay; "
                              "use hard_value for a hard mask")

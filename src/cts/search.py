@@ -46,6 +46,9 @@ class SearchConfig:
             raise SearchError(f"alpha_lr must be positive, got {self.alpha_lr}")
         if not self.lambda_lr > 0:
             raise SearchError(f"lambda_lr must be positive, got {self.lambda_lr}")
+        for name in ("seed_init", "seed_search", "seed_train"):
+            if getattr(self, name) < 0:
+                raise SearchError(f"{name} must be >= 0, got {getattr(self, name)}")
         try:  # the rules the search applies when it starts, checked up front
             obj.get_kind(self.objective)
             mk.init_distribution(1, self.kappa, self.tau)

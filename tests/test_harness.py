@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cts.baselines as baselines
+import cts.cli as cli
 import cts.experiment as experiment
 import cts.objectives as obj
 import cts.search as search
@@ -656,6 +657,18 @@ class TestCli:
             err = capsys.readouterr().err.strip()
             assert "--sparsities" in err and len(err.splitlines()) == 1
 
+    def test_flags_left_out_match_keys_left_out(self, tmp_path, monkeypatch):
+        # a sweep given as flags and the same sweep as a config file set up
+        # one config: each flag's default is its config field's default
+        configs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: configs.append(cfg) or ([], {}))
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[sweep]\n")
+        for argv in (["sweep"], ["sweep", "--config", str(ini)]):
+            assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert configs[0] == configs[1]
+        assert configs[0].search.steps == SearchConfig.steps
+
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         out = tmp_path / "out"
@@ -707,7 +720,32 @@ class TestCli:
             assert not out.exists()
             err = capsys.readouterr().err.strip()
             assert word in err and len(err.splitlines()) == 1
-        for path in (tmp_path / "missing.csv", ini):  # absent, and not a metrics CSV
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"method,sparsity\n\xe9\n")
+        # absent, not a metrics CSV, and not UTF-8
+        for path in (tmp_path / "missing.csv", ini, latin1):
             assert cli_main(["report", str(path)]) == 2
             err = capsys.readouterr().err.strip()
             assert path.name in err and len(err.splitlines()) == 1
+        # each bad value below exits 2 with one line naming it, before any
+        # output, from every command that takes it
+        idx = f"idx:images={tmp_path / 'no-images.idx'},labels={tmp_path / 'no-labels.idx'}"
+        commands = [["search"], ["baseline", "--method", "snip"], ["sweep"], ["sanity"],
+                    ["oracle", "--kappa", "0.5"]]
+        for flags, word in [(["--dataset", idx], "no-images.idx"),
+                            (["--dataset", DATASET, "--seed", "-1"], "seed"),
+                            (["--dataset", "blobs:classes=2,dim=4,n=400,seed=-1"], "seed")]:
+            for command in commands:
+                argv = command + flags + ["--arch", "tiny-mlp", "--out", str(out)]
+                assert cli_main(argv) == 2, argv
+                assert not out.exists()
+                err = capsys.readouterr().err.strip()
+                assert word in err and len(err.splitlines()) == 1, (argv, err)
+        for text, word in [(task + "[search]\nsteps = abc", "steps"),
+                           (task + "[train]\nsteps = 30\nlr_drops = 5:-1.0", "lr_drops")]:
+            ini.write_text(text + "\n")
+            for command in ("sweep", "sanity"):
+                assert cli_main([command, "--config", str(ini), "--out", str(out)]) == 2
+                assert not out.exists()
+                err = capsys.readouterr().err.strip()
+                assert word in err and len(err.splitlines()) == 1, (command, err)

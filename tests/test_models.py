@@ -156,7 +156,7 @@ class TestGraphSize:
         x, y = rng.standard_normal((320, 1, 8, 8)), rng.integers(0, 4, 320)
         mask = (rng.random(model.d) < 0.5).astype(np.float64)
         peaks = []
-        for run in (lambda: obj.loss_grads(model, x, y),
+        for run in (lambda: obj.loss_grads(model, x, y, obj.maskable_leaves(model)),
                     lambda: obj.hard_value("grad", model, x[:256], y[:256], mask)):
             tracemalloc.start()
             try:

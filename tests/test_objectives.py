@@ -4,6 +4,7 @@ finite-difference checks of the logit gradients."""
 import numpy as np
 import pytest
 
+import cts.models as models
 import cts.objectives as obj
 import cts.tensor as T
 from cts.mask import sample_logistic, step_rng
@@ -294,7 +295,9 @@ class TestHardMaskPath:
                              for k, t in given.items()))
             return forward(*args, **kwargs)
 
+        # a teacher trace would go through objectives, a gradient through models
         monkeypatch.setattr(obj, "forward", counting)
+        monkeypatch.setattr(models, "forward", counting)
         halves = [Tensor(w, requires_grad=True) for w in model.layer_views(np.full(model.d, 0.5))]
         obj.evaluate("grad", model, x, y, overlay=halves)
         assert len(calls) == 2 and sum(calls) == 1
