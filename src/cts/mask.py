@@ -90,12 +90,12 @@ def init_distribution(d: int, kappa: float, tau: float = TAU_DEFAULT,
 
 
 def sample_logistic(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-CDF logistic(0,1) noise with a resample guard at u in {0,1}."""
+    """Inverse-CDF logistic(0,1) noise with a resample guard at u in {0,1};
+    the guard's mask is built only when a draw needs redrawing."""
     u = rng.random(size)
-    bad = (u <= 0.0) | (u >= 1.0)
-    while np.any(bad):
-        u[bad] = rng.random(int(bad.sum()))
+    while u.size and (u.min() <= 0.0 or u.max() >= 1.0):
         bad = (u <= 0.0) | (u >= 1.0)
+        u[bad] = rng.random(int(bad.sum()))
     return np.log(u) - np.log1p(-u)
 
 

@@ -284,16 +284,27 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | None) -> Tensor:
     """``h`` through ``specs``; post-relu activations go to ``features``
-    unless it is None. A module-level function, so a pass closes over
-    nothing and forms no reference cycle."""
-    for s in specs:
+    unless it is None. A batch norm followed by a relu is one node, and so
+    is a residual block whose inner path ends in a batch norm: that batch
+    norm takes the block's add and relu. A module-level function, so a pass
+    closes over nothing and forms no reference cycle."""
+    i = 0
+    while i < len(specs):
+        s = specs[i]
+        i += 1
         if isinstance(s, Dense):
             h = T.add(T.matmul(h, params[s.name + ".w"]), params[s.name + ".b"])
         elif isinstance(s, Conv):
             h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding,
                          bias=params[s.name + ".b"])
         elif isinstance(s, BatchNorm):
-            h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS)
+            fuse = i < len(specs) and isinstance(specs[i], Relu)
+            h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS,
+                             relu=fuse)
+            if fuse:
+                i += 1
+                if features is not None:
+                    features.append(h)
         elif isinstance(s, Relu):
             h = T.relu(h)
             if features is not None:
@@ -305,7 +316,13 @@ def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | N
         elif isinstance(s, Flatten):
             h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
         elif isinstance(s, ResBlock):
-            h = T.relu(T.add(h, _run(s.inner, h, params, features)))
+            last = s.inner[-1]
+            if isinstance(last, BatchNorm):
+                h = T.batch_norm(_run(s.inner[:-1], h, params, features),
+                                 params[last.name + ".g"], params[last.name + ".b"], BN_EPS,
+                                 skip=h, relu=True)
+            else:
+                h = T.relu(T.add(h, _run(s.inner, h, params, features)))
             if features is not None:
                 features.append(h)
         else:
@@ -322,9 +339,12 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
     use in their place, such as tracked leaves or a soft-masked weight;
     every other parameter is read from ``model.params``. Hard masks go
     through ``ModelState.masked`` instead. Each batch norm is one
-    ``tensor.batch_norm`` node with current-batch statistics. Features are
-    the post-relu activations, logits excluded. A pass forms no reference
-    cycle, so its graph is freed with the last reference to the trace.
+    ``tensor.batch_norm`` node with current-batch statistics, which also
+    holds the relu after it or, at the end of a residual block, the block's
+    add and relu; a conv → batch norm → relu unit so keeps two activations.
+    Features are the post-relu activations, logits excluded. A pass forms no
+    reference cycle, so its graph is freed with the last reference to the
+    trace.
     """
     params = {k: Tensor(v) for k, v in model.params.items()}
     params.update(param_tensors or {})

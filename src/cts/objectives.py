@@ -128,7 +128,8 @@ def teacher_pass(tag: str, model: ModelState, x, y) -> ForwardTrace | list[np.nd
     if kind.needs_student_grads:
         return teacher_layer_grads(model, x, y)
     with T.no_grad():
-        return forward(model, x, y, capture_features=tag == "feature")
+        return forward(model, x, y if tag == "dloss" else None,
+                       capture_features=tag == "feature")
 
 
 # -- unified evaluation --------------------------------------------------------
@@ -152,7 +153,8 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
         name: T.mul(Tensor(model.params[name]), piece)
         for (name, _, _), piece in zip(model.maskable_index, overlay, strict=True)}
     if not kind.needs_student_grads:
-        student = forward(model, x, y, capture_features=tag == "feature", param_tensors=weights)
+        student = forward(model, x, y if tag in ("loss", "dloss") else None,
+                          capture_features=tag == "feature", param_tensors=weights)
         if tag == "loss":
             return student.loss
         if tag == "dloss":

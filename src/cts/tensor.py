@@ -30,9 +30,13 @@ What a graph keeps: each node's output, and what its vjp reads besides its
 parents. A conv2d keeps no im2col columns (9× its input for a 3×3 kernel
 at stride 1): its vjp rebuilds them from the input, which the graph holds
 anyway, when the weight needs an adjoint, so a first-order step builds each
-conv's columns twice, and the copy changes no bits. A batch norm keeps x̂
-and the inverse deviation. A conv's bias is added inside its node
-(``conv2d(bias=)``), so no pre-bias output is kept. ``backward`` drops a
+conv's columns twice, and the copy changes no bits. A batch norm keeps its
+per-channel mean and inverse deviation, not x̂: its vjp rebuilds x̂ from the
+input, bit-equal to the forward's. A conv's bias is added inside its node
+(``conv2d(bias=)``), so no pre-bias output is kept, and so are the relu after
+a batch norm and a residual block's add (``batch_norm(skip=, relu=)``): a
+conv → batch norm → relu unit keeps two activations, the conv's output and
+the batch-norm node's, where the chain kept four. ``backward`` drops a
 node's adjoint as soon as that node's vjp has run, unless the node is in
 ``wrt``, so a first-order sweep holds only the live frontier of adjoints on
 top of the graph; ``conv2d_input_grad`` builds its Wᵀ g product one block
@@ -44,9 +48,9 @@ moment its last reference goes, not whenever the cyclic collector runs.
 
 Importing this module sets glibc's allocator policy for the process
 (``_keep_freed_heap``). A graph pass over a large batch, such as
-``hard_value`` on the 256-row eval batch, holds about 45 MiB of arrays.
+``hard_value`` on the 256-row eval batch, holds about 27 MiB of arrays.
 Under glibc's defaults that heap top is handed back to the kernel when the
-graph is freed, and the next such pass faults some 40k pages in again.
+graph is freed, and the next such pass faults its pages in again.
 """
 
 from __future__ import annotations
@@ -303,9 +307,11 @@ def relu(a) -> Tensor:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Untracked elementwise 1 / (1 + exp(-x)); never overflows exp:
-    with e = exp(-|x|), it is 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    with e = exp(-|x|), it is 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+    The numerator is max(e, x >= 0): e <= 1, and the boolean reads as 1.0
+    or 0.0, so no mask is built."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def exp(a) -> Tensor:
@@ -630,54 +636,82 @@ def conv2d_weight_grad(x, g, w_shape, stride: int = 1, padding: int = 0,
 _BN_AXES = (0, 2, 3)
 
 
-def _bn_stats(h: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """x̂ = (h − mean) · inv and inv = (var + eps)^-1/2 per channel of NCHW
-    ``h``, with the mean and variance over (n, h, w)."""
+def _bn_stats(h: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-channel mean and inv = (var + eps)^-1/2 of NCHW ``h`` over
+    (n, h, w), and h − mean; x̂ is (h − mean) · inv."""
     n = h.size // h.shape[1]
     mu = h.sum(axis=_BN_AXES, keepdims=True) * (1.0 / n)
     xc = h + -mu
     var = (xc * xc).sum(axis=_BN_AXES, keepdims=True) * (1.0 / n)
-    inv = (var + eps) ** -0.5
-    return xc * inv, inv
+    return mu, (var + eps) ** -0.5, xc
 
 
-def batch_norm(h, gamma, beta, eps: float) -> Tensor:
+def batch_norm(h, gamma, beta, eps: float, skip=None, relu: bool = False) -> Tensor:
     """Batch norm of NCHW ``h`` with current-batch statistics:
-    x̂ · gamma + beta, with ``gamma`` and ``beta`` of shape (c,)."""
+    x̂ · gamma + beta, with ``gamma`` and ``beta`` of shape (c,).
+
+    ``skip``, of ``h``'s shape, is added to that, and ``relu`` applies relu
+    to the sum, in this node: ``batch_norm(h, g, b, eps, skip=s, relu=True)``
+    is ``relu(add(s, batch_norm(h, g, b, eps)))`` bit for bit, first and
+    second order, without the two activations that chain keeps. The node
+    keeps only the per-channel mean and inverse deviation; its vjp rebuilds
+    x̂ from ``h``, which the graph holds anyway. The vjp masks g by
+    ``out > 0`` under ``relu``, the mask relu builds from its input, and
+    hands the masked g to the batch-norm adjoints and, as it is, to ``skip``.
+    """
     h, gamma, beta = _as_tensor(h), _as_tensor(gamma), _as_tensor(beta)
     if h.data.ndim != 4 or gamma.shape != (h.shape[1],) or beta.shape != (h.shape[1],):
         raise ShapeError("batch_norm", h.shape, gamma.shape, beta.shape)
-    stats = _bn_stats(h.data, eps)
-    out = stats[0] * gamma.data.reshape(1, -1, 1, 1) + beta.data.reshape(1, -1, 1, 1)
+    parents = (h, gamma, beta)
+    if skip is not None:
+        skip = _as_tensor(skip)
+        if skip.shape != h.shape:
+            raise ShapeError("batch_norm", h.shape, skip.shape)
+        parents += (skip,)
+    mu, inv, out = _bn_stats(h.data, eps)
+    out *= inv
+    out *= gamma.data.reshape(1, -1, 1, 1)
+    out += beta.data.reshape(1, -1, 1, 1)
+    if skip is not None:
+        out += skip.data
+    if relu:
+        # the chain checks the sum before relu can absorb a non-finite entry
+        if not _all_finite(out):
+            raise NonFiniteError("batch_norm")
+        np.maximum(out, 0.0, out=out)
 
     def vjp(g):
-        return (batch_norm_input_grad(g, h, gamma, eps, stats) if h.requires_grad else None,
-                sum_(mul(g, _normalized(h, eps, stats)), axis=_BN_AXES)
+        if relu:
+            g = mul(g, Tensor((out > 0).astype(out.dtype)))
+        stats = ((h.data + -mu) * inv, inv)
+        return (batch_norm_input_grad(g, h, gamma, stats) if h.requires_grad else None,
+                sum_(mul(g, _normalized(h, stats)), axis=_BN_AXES)
                 if gamma.requires_grad else None,
-                sum_(g, axis=_BN_AXES) if beta.requires_grad else None)
+                sum_(g, axis=_BN_AXES) if beta.requires_grad else None,
+                g if skip is not None and skip.requires_grad else None)
 
-    return _make(out, "batch_norm", (h, gamma, beta), vjp)
+    return _make(out, "batch_norm", parents, vjp)
 
 
-def _normalized(h: Tensor, eps: float, stats) -> Tensor:
+def _normalized(h: Tensor, stats) -> Tensor:
     """x̂ of ``h`` as a node tracked in h: batch_norm(h, 1, 0, eps)."""
     ones = Tensor(np.ones(h.shape[1], dtype=h.data.dtype))
     return _make(stats[0], "batch_norm", (h,),
-                 lambda v: (batch_norm_input_grad(v, h, ones, eps, stats),))
+                 lambda v: (batch_norm_input_grad(v, h, ones, stats),))
 
 
-def batch_norm_input_grad(gy, h, gamma, eps: float, stats=None) -> Tensor:
+def batch_norm_input_grad(gy, h, gamma, stats) -> Tensor:
     """Adjoint of batch_norm in its input: gamma · inv · (gy − mean gy −
-    x̂ · mean(gy · x̂)), per channel over (n, h, w).
+    x̂ · mean(gy · x̂)), per channel over (n, h, w), with ``stats`` the
+    (x̂, inv) of ``h``.
 
-    ``stats`` is _bn_stats(h, eps) when the caller already has it. The
-    adjoints in gy and gamma are tracked; the one in h is a numpy kernel, so
-    a third derivative through h raises GraphError.
+    The adjoints in gy and gamma are tracked; the one in h is a numpy
+    kernel, so a third derivative through h raises GraphError.
     """
     gy, h, gamma = _as_tensor(gy), _as_tensor(h), _as_tensor(gamma)
     if gy.shape != h.shape:
         raise ShapeError("batch_norm_input_grad", gy.shape, h.shape)
-    xhat, inv = _bn_stats(h.data, eps) if stats is None else stats
+    xhat, inv = stats
     a = gy.data
     gam = gamma.data.reshape(1, -1, 1, 1)
     m = (a * xhat).mean(axis=_BN_AXES, keepdims=True)
@@ -689,10 +723,10 @@ def batch_norm_input_grad(gy, h, gamma, eps: float, stats=None) -> Tensor:
                              "differentiable again")
         return (
             # the Jacobian in gy is symmetric, so this map is its own adjoint
-            batch_norm_input_grad(u, h, gamma, eps, stats) if gy.requires_grad else None,
+            batch_norm_input_grad(u, h, gamma, stats) if gy.requires_grad else None,
             _make(_bn_input_grad_h_adjoint(u.data, a, xhat, inv, gam, m),
                   "batch_norm_input_grad_h", (), None) if h.requires_grad else None,
-            sum_(mul(u, batch_norm_input_grad(gy, h, np.ones_like(gamma.data), eps, stats)),
+            sum_(mul(u, batch_norm_input_grad(gy, h, np.ones_like(gamma.data), stats)),
                  axis=_BN_AXES) if gamma.requires_grad else None)
 
     return _make(out, "batch_norm_input_grad", (gy, h, gamma), vjp)

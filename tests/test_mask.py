@@ -1,6 +1,7 @@
 """Mask distribution, concrete sampling, clamp, and ticket format tests."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestSampling:
         dist = init_distribution(100_000, 0.3)
         sm = _sample(dist, step_rng(0, 0))
         assert abs((sm > 0.5).mean() - 0.3) < 0.01
+
+    def test_logistic_redraws_the_unit_interval_ends(self):
+        # u = 0 or 1 would give an infinite logit; only those entries are
+        # drawn again, in order, until none is left
+        draws = iter([np.array([0.0, 0.5, 1.0, 0.25]), np.array([1.0, 0.75]),
+                      np.array([0.125])])
+        rng = SimpleNamespace(random=lambda n: next(draws)[:n])
+        eps = sample_logistic(rng, 4)
+        u = np.array([0.125, 0.5, 0.75, 0.25])
+        np.testing.assert_array_equal(eps, np.log(u) - np.log1p(-u))
 
     def test_step_rng_deterministic_and_distinct(self):
         a = step_rng(7, 3).random(4)

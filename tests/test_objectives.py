@@ -302,6 +302,26 @@ class TestHardMaskPath:
         obj.evaluate("grad", model, x, y, overlay=halves)
         assert len(calls) == 2 and sum(calls) == 1
 
+    @pytest.mark.parametrize("tag,losses", [("kl", 0), ("feature", 0), ("loss", 1),
+                                            ("dloss", 2)])
+    def test_cross_entropy_only_where_read(self, tag, losses, monkeypatch):
+        # kl and feature read logits and features only; loss reads the
+        # student's loss, dloss the teacher's too
+        model = build_model("lenet-conv4", 0, (1, 8, 8), 3)
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((4, 1, 8, 8)), rng.integers(0, 3, 4)
+        calls = []
+        real = models.cross_entropy
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(models, "cross_entropy", counting)
+        value_and_alpha_grad(tag, model, x, y, rng.standard_normal(model.d),
+                             sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
+        assert len(calls) == losses
+
     def test_zero_gradient_norm_has_zero_gradient(self):
         leaf = Tensor(np.zeros(3), requires_grad=True)
         value = neg_grad_norm([leaf])

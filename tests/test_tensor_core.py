@@ -72,6 +72,18 @@ class TestElementwise:
         x = RNG.standard_normal(9) + 0.1  # keep away from the kink
         _fd_check(lambda t: T.sum_(T.absolute(t)), x)
 
+    def test_stable_sigmoid_bit_equal_to_select_form(self):
+        # the numerator max(e, x >= 0) against the select it replaces, at the
+        # signed zeros, the infinities, exp's overflow edge and many scales
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 709.8, -709.8,
+                          745.2, -745.2, 1e-300, -1e-300, 5e-324, -5e-324])
+        x = np.concatenate([edges] + [RNG.standard_normal(2000) * s
+                                      for s in (0.1, 1.0, 10.0, 40.0, 800.0)])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        np.testing.assert_array_equal(T.stable_sigmoid(x).view(np.uint64),
+                                      want.view(np.uint64))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_python_scalar_keeps_dtype(self, dtype):
         # a Python scalar takes the other operand's dtype, on either side
@@ -591,6 +603,64 @@ class TestBatchNorm:
         for fused, composed in zip(*results):
             np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
 
+    @staticmethod
+    def _first_and_second(bn, leaves, w):
+        """Value, first-order gradients in every leaf of Σ w·bn(leaves)², and
+        the gradients of their weighted norm, built in-graph."""
+        out = bn(*leaves)
+        first = backward(T.sum_(T.mul(Tensor(w), T.mul(out, out))), leaves, create_graph=True)
+        flat = T.concat([T.reshape(f, (f.size,)) for f in first])
+        r = np.random.default_rng(8).uniform(0.5, 1.5, flat.size)
+        second = backward(T.l2_norm(T.mul(flat, Tensor(r))), leaves)
+        return [out.data] + [t.data for t in first + second]
+
+    @pytest.mark.parametrize("with_skip", [False, True])
+    def test_fused_relu_and_skip_bit_equal_to_chain(self, with_skip):
+        # batch_norm(relu=True) is relu(batch_norm(...)), and with skip=s
+        # relu(add(s, batch_norm(...))): value, the gradients in h, gamma,
+        # beta and skip, and a second-order grad-norm, bit for bit
+        h0, g0, b0, w = self._inputs()
+        arrays = [h0, g0, b0] + ([np.random.default_rng(9).standard_normal(self.SHAPE)]
+                                 if with_skip else [])
+
+        def fused(h, g, b, *s):
+            return T.batch_norm(h, g, b, BN_EPS, skip=s[0] if s else None, relu=True)
+
+        def chain(h, g, b, *s):
+            y = T.batch_norm(h, g, b, BN_EPS)
+            return T.relu(T.add(s[0], y) if s else y)
+
+        results = [self._first_and_second(bn, [Tensor(a, requires_grad=True) for a in arrays], w)
+                   for bn in (fused, chain)]
+        assert len(results[0]) == 1 + 2 * len(arrays)
+        assert np.any(results[0][0] == 0.0) and np.any(results[0][0] > 0.0)
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    def test_fused_node_keeps_one_activation(self):
+        # the node keeps its output and the per-channel mean and inverse
+        # deviation; its vjp rebuilds x̂ from h. While it kept x̂ too, and the
+        # relu after it kept its own output, the three held three activations
+        h = Tensor(np.random.default_rng(7).standard_normal((32, 3, 16, 16)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.batch_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3)), BN_EPS, relu=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < 1.2 * h.data.nbytes
+
+    def test_fused_relu_checks_the_sum_before_relu(self):
+        h0, g0, b0, _ = self._inputs()
+        skip = np.zeros(self.SHAPE)
+        skip[0, 0, 0, 0] = -np.inf
+        with pytest.raises(NonFiniteError):
+            T.batch_norm(Tensor(h0), Tensor(g0), Tensor(b0), BN_EPS, skip=Tensor(skip),
+                         relu=True)
+
     def test_third_order_raises(self):
         h0, g0, b0, w = self._inputs()
         h, g, b = (Tensor(v, requires_grad=True) for v in (h0, g0, b0))
@@ -602,6 +672,9 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             T.batch_norm(Tensor(np.ones(self.SHAPE)), Tensor(np.ones(2)), Tensor(np.ones(3)),
                          BN_EPS)
+        with pytest.raises(ShapeError):
+            T.batch_norm(Tensor(np.ones(self.SHAPE)), Tensor(np.ones(3)), Tensor(np.ones(3)),
+                         BN_EPS, skip=Tensor(np.ones((4, 3, 5, 5))))
 
 
 class TestGraphSemantics:
