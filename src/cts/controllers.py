@@ -74,17 +74,34 @@ def search_adam(d: int, total_steps: int, lr: float = 0.1) -> AdamState:
 
 
 def adam_update(dist: MaskDistribution, g_alpha: np.ndarray, adam: AdamState) -> MaskDistribution:
-    """Standard bias-corrected Adam step on the logits (no weight decay)."""
+    """Standard bias-corrected Adam step on the logits (no weight decay).
+
+    ``m`` and ``v`` are updated in place, by the operations of
+    m = b1·m + (1 − b1)·g, v = b2·v + (1 − b2)·g·g and
+    logits − lr·m̂ / (√v̂ + eps) in their order, through one scratch buffer.
+    ``dist.logits`` becomes a new array: ``MaskDistribution.alpha`` is
+    cached on the logits array's identity.
+    """
     if g_alpha.size != dist.d:
         raise ControllerError(f"gradient length {g_alpha.size} != d={dist.d}")
     lr = adam.lr_at(adam.step)
     adam.step += 1
     t = adam.step
-    adam.m = adam.beta1 * adam.m + (1 - adam.beta1) * g_alpha
-    adam.v = adam.beta2 * adam.v + (1 - adam.beta2) * g_alpha * g_alpha
-    m_hat = adam.m / (1 - adam.beta1 ** t)
-    v_hat = adam.v / (1 - adam.beta2 ** t)
-    dist.logits = dist.logits - lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+    m, v = adam.m, adam.v
+    buf = np.multiply(g_alpha, 1 - adam.beta1)
+    m *= adam.beta1
+    m += buf
+    np.multiply(g_alpha, 1 - adam.beta2, out=buf)
+    buf *= g_alpha
+    v *= adam.beta2
+    v += buf
+    np.divide(v, 1 - adam.beta2 ** t, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += adam.eps
+    step = np.divide(m, 1 - adam.beta1 ** t)
+    step *= lr
+    step /= buf
+    dist.logits = np.subtract(dist.logits, step, out=step)
     return dist
 
 

@@ -284,27 +284,26 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | None) -> Tensor:
     """``h`` through ``specs``; post-relu activations go to ``features``
-    unless it is None. A batch norm followed by a relu is one node, and so
-    is a residual block whose inner path ends in a batch norm: that batch
-    norm takes the block's add and relu. A module-level function, so a pass
-    closes over nothing and forms no reference cycle."""
+    unless it is None. A dense, conv or batch-norm layer that a relu follows
+    is one node with it (``relu=True``), and so is a residual block whose
+    inner path ends in a batch norm: that batch norm takes the block's add
+    and relu. Dense and conv layers add their bias in their node. A
+    module-level function, so a pass closes over nothing and forms no
+    reference cycle."""
     i = 0
     while i < len(specs):
         s = specs[i]
         i += 1
+        fuse = (isinstance(s, (Dense, Conv, BatchNorm)) and i < len(specs)
+                and isinstance(specs[i], Relu))
         if isinstance(s, Dense):
-            h = T.add(T.matmul(h, params[s.name + ".w"]), params[s.name + ".b"])
+            h = T.matmul(h, params[s.name + ".w"], bias=params[s.name + ".b"], relu=fuse)
         elif isinstance(s, Conv):
             h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding,
-                         bias=params[s.name + ".b"])
+                         bias=params[s.name + ".b"], relu=fuse)
         elif isinstance(s, BatchNorm):
-            fuse = i < len(specs) and isinstance(specs[i], Relu)
             h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS,
                              relu=fuse)
-            if fuse:
-                i += 1
-                if features is not None:
-                    features.append(h)
         elif isinstance(s, Relu):
             h = T.relu(h)
             if features is not None:
@@ -327,6 +326,10 @@ def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | N
                 features.append(h)
         else:
             raise ModelError(f"unknown spec {s}")
+        if fuse:
+            i += 1
+            if features is not None:
+                features.append(h)
     return h
 
 
@@ -338,13 +341,15 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
     ``param_tensors`` maps any subset of parameter names to the Tensors to
     use in their place, such as tracked leaves or a soft-masked weight;
     every other parameter is read from ``model.params``. Hard masks go
-    through ``ModelState.masked`` instead. Each batch norm is one
-    ``tensor.batch_norm`` node with current-batch statistics, which also
-    holds the relu after it or, at the end of a residual block, the block's
-    add and relu; a conv → batch norm → relu unit so keeps two activations.
-    Features are the post-relu activations, logits excluded. A pass forms no
-    reference cycle, so its graph is freed with the last reference to the
-    trace.
+    through ``ModelState.masked`` instead. Each dense or conv layer is one
+    ``tensor.matmul`` or ``tensor.conv2d`` node with its bias and the relu
+    after it, so a dense → relu or conv → relu unit keeps one activation.
+    Each batch norm is one ``tensor.batch_norm`` node with current-batch
+    statistics, which also holds the relu after it or, at the end of a
+    residual block, the block's add and relu; a conv → batch norm → relu
+    unit so keeps two activations. Features are the post-relu activations,
+    logits excluded. A pass forms no reference cycle, so its graph is freed
+    with the last reference to the trace.
     """
     params = {k: Tensor(v) for k, v in model.params.items()}
     params.update(param_tensors or {})

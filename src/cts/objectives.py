@@ -78,12 +78,11 @@ def rel_loss_change(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
 
 
 def reverse_kl(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
-    """Batch-mean KL(student || teacher) over softmax outputs, in log space."""
-    logp_s = T.log_softmax(student.logits, axis=-1)
-    logp_t = T.log_softmax(teacher.logits.detach(), axis=-1)
-    p_s = T.exp(logp_s)
-    per_example = T.sum_(T.mul(p_s, logp_s - logp_t), axis=-1)
-    return T.mean(per_example)
+    """Batch-mean KL(student || teacher) over softmax outputs, in log space,
+    as one ``tensor.softmax_kl`` node on the student's logits: bit for bit
+    the value and first-order gradient of mean(Σ p_s · (log p_s − log p_t)).
+    It has no second derivative; no objective takes one."""
+    return T.softmax_kl(student.logits, teacher.logits.data)
 
 
 def layer_match(student: list[Tensor], teacher: list[np.ndarray]) -> Tensor:

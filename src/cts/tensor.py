@@ -2,8 +2,8 @@
 
 Covers exactly the op set the small models and pruning objectives need:
 elementwise arithmetic with broadcasting, matmul, 2-D convolution, batch
-norm, relu, exp/log, log-softmax, reductions, slicing/concat and the
-L2 norm. Ops are module functions (``matmul``, ``sum_``, ``power``, ...); a
+norm, relu, exp, log-softmax, the reverse KL of two softmaxes, reductions,
+slicing/concat and the L2 norm. Ops are module functions (``matmul``, ``sum_``, ``power``, ...); a
 Tensor spells only ``+``, binary ``-`` and ``*`` as operators. ``backward``
 returns the gradients of a scalar root for the requested tensors, as a list
 in their order. Every backward rule is itself composed of these primitives, so
@@ -20,11 +20,19 @@ input is the one rule that is a plain numpy kernel, so a third derivative
 through batch norm raises GraphError. Average pooling is one node too:
 ``avg_pool2d`` and ``avg_pool2d_grad`` are each other's adjoints, and the
 forward adds each block in the order of the reshape-and-sum it replaces.
+``log_softmax`` is one node, and so is ``softmax_kl``, the reverse KL, whose
+gradient is a numpy kernel that a second derivative cannot go through
+(GraphError).
 
 Every node's output is checked to be finite (NonFiniteError names the op).
 One call decides it, the sum of squares, unless that sum overflows; the
 check stays per node, because a later op can absorb a non-finite value
-(relu(-inf) = 0).
+(relu(-inf) = 0), and a fused relu checks its sum before relu. The ops that
+only move, copy, negate or zero entries (reshape, transpose, broadcast_to,
+neg, relu, narrow, embed, concat) skip the check when every parent is a
+node, not a leaf: each such parent was checked when it was made, and finite
+entries stay finite. A leaf parent is checked, so the op that first holds a
+non-finite entry is still the one named.
 
 What a graph keeps: each node's output, and what its vjp reads besides its
 parents. A conv2d keeps no im2col columns (9× its input for a 3×3 kernel
@@ -32,11 +40,13 @@ at stride 1): its vjp rebuilds them from the input, which the graph holds
 anyway, when the weight needs an adjoint, so a first-order step builds each
 conv's columns twice, and the copy changes no bits. A batch norm keeps its
 per-channel mean and inverse deviation, not x̂: its vjp rebuilds x̂ from the
-input, bit-equal to the forward's. A conv's bias is added inside its node
-(``conv2d(bias=)``), so no pre-bias output is kept, and so are the relu after
-a batch norm and a residual block's add (``batch_norm(skip=, relu=)``): a
-conv → batch norm → relu unit keeps two activations, the conv's output and
-the batch-norm node's, where the chain kept four. ``backward`` drops a
+input, bit-equal to the forward's. A dense or conv layer's bias and the
+relu after it are applied inside its node (``matmul(bias=, relu=)``,
+``conv2d(bias=, relu=)``), so a dense → relu or conv → relu unit keeps one
+activation where the chain kept three. The relu after a batch norm and a
+residual block's add are in the batch-norm node (``batch_norm(skip=,
+relu=)``): a conv → batch norm → relu unit keeps two activations, the
+conv's output and the batch-norm node's, where the chain kept four. ``backward`` drops a
 node's adjoint as soon as that node's vjp has run, unless the node is in
 ``wrt``, so a first-order sweep holds only the live frontier of adjoints on
 top of the graph; ``conv2d_input_grad`` builds its Wᵀ g product one block
@@ -211,13 +221,30 @@ def _all_finite(data: np.ndarray) -> bool:
     return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
 
 
+# ops that only move, copy, negate or zero entries: from parents that are
+# nodes, already checked, they cannot make a non-finite entry
+_MOVES = frozenset(("reshape", "transpose", "broadcast", "neg", "relu", "slice", "embed",
+                    "concat"))
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if not _all_finite(data):
+    """A node of value ``data``: checked finite, unless ``op`` only moves
+    entries of parents that are all nodes. A numpy scalar, such as a full
+    reduction's, becomes a 0-d array: ``** -0.5`` of a scalar goes to libm's
+    ``pow``, of a 0-d array to numpy's own loop, and the two can differ."""
+    if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
+        data = Tensor(data).data
+    if (op not in _MOVES or "leaf" in [p._op for p in parents]) and not _all_finite(data):
         raise NonFiniteError(op)
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    if not requires:
-        return Tensor(data, _op=op)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp, _op=op)
+    t = object.__new__(Tensor)
+    t.data = data
+    t._op = op
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        t.requires_grad, t._parents, t._vjp = True, tuple(parents), vjp
+    else:
+        t.requires_grad, t._parents, t._vjp = False, (), None
+    return t
 
 
 def _unbroadcast(grad: Tensor, shape: tuple) -> Tensor:
@@ -297,12 +324,13 @@ def absolute(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
+    # derivative at exactly 0 defined as 0
+    return _make(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (_relu_mask(g, a.data),))
 
-    def vjp(g):
-        # derivative at exactly 0 defined as 0
-        return (mul(g, Tensor((a.data > 0).astype(a.data.dtype))),)
 
-    return _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
+def _relu_mask(g: Tensor, x: np.ndarray) -> Tensor:
+    """g masked by ``x > 0``, relu's adjoint at ``x`` (or at relu(x))."""
+    return mul(g, Tensor((x > 0).astype(x.dtype)))
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -318,13 +346,6 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
     return _make(out, "exp", (a,), lambda g: (mul(g, exp(a)),))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _make(out, "log", (a,), lambda g: (mul(g, power(a, -1.0)),))
 
 
 # -- reductions / structure ---------------------------------------------------
@@ -422,29 +443,116 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(out, "concat", tuple(parts), vjp)
 
 
-def matmul(a, b) -> Tensor:
+def _add_relu(out: np.ndarray, addend: np.ndarray | None, relu: bool, op: str) -> None:
+    """Add ``addend`` to ``out`` in place and, under ``relu``, check the sum,
+    as the chain's add did, before relu can absorb a non-finite entry, and
+    apply relu in place."""
+    if addend is not None:
+        out += addend
+    if relu:
+        if not _all_finite(out):
+            raise NonFiniteError(op)
+        np.maximum(out, 0.0, out=out)
+
+
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+    """a @ b of 2-D ``a`` and ``b``. ``bias``, of shape (b's columns,), is
+    added to each row in place and ``relu`` applies relu to the sum, in this
+    node: ``matmul(a, b, bias=c, relu=True)`` is ``relu(add(matmul(a, b), c))``
+    bit for bit, first and second order, and keeps one activation where that
+    chain kept three. The vjp masks g by ``out > 0`` under ``relu`` and gives
+    the bias ``_unbroadcast(g, bias.shape)``, as the chain's add did."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
+    parents = (a, b)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (b.shape[1],):
+            raise ShapeError("matmul", b.shape, bias.shape)
+        parents += (bias,)
     out = a.data @ b.data
+    _add_relu(out, None if bias is None else bias.data, relu, "matmul")
 
     def vjp(g):
+        if relu:
+            g = _relu_mask(g, out)
         return (matmul(g, transpose(b)) if a.requires_grad else None,
-                matmul(transpose(a), g) if b.requires_grad else None)
+                matmul(transpose(a), g) if b.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias is not None and bias.requires_grad else None)
 
-    return _make(out, "matmul", (a, b), vjp)
+    return _make(out, "matmul", parents, vjp)
+
+
+def _log_softmax(x: np.ndarray, axis: int):
+    """log-softmax of ``x`` along ``axis`` by the numpy ops of the chain
+    ``z = x − max``, ``out = z − log Σ exp(z)``; returns out, exp(z) and the
+    sum Σ exp(z) (kept dims)."""
+    z = x + -np.max(x, axis=axis, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=axis, keepdims=True)
+    return z + -np.log(s), e, s
+
+
+def _log_softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """The log-softmax chain's adjoint of ``g``, g − e · Σ g / s, by that
+    chain's numpy ops in their order."""
+    return g + (-g).sum(axis=axis, keepdims=True) * s ** -1.0 * e
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax composed from primitives.
+    """Numerically stable log-softmax as one node, bit for bit the chain of
+    primitives it replaced, ``z = a − max`` (the max a constant),
+    ``z − log Σ exp(z)``, in value and first-order gradient.
 
-    The max shift is a constant; it does not change the value or gradient.
+    The vjp of a first-order backward computes that chain's adjoint from the
+    saved exp(z) and its sum in numpy. Under ``create_graph`` it rebuilds z
+    and Σ exp(z) as tracked nodes of ``a`` and applies the chain's adjoint
+    ops to them. Second order is then the chain's bit for bit where the
+    upstream gradient does not depend on this node's output, as in
+    cross-entropy (``grad``, ``gradnorm``, GraSP); where it does, the second
+    backward sums the same terms in another order.
     """
     a = _as_tensor(a)
-    shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
-    z = a - broadcast_to(shift, a.shape)
-    lse = log(sum_(exp(z), axis=axis, keepdims=True))
-    return z - broadcast_to(lse, a.shape)
+    out, e, s = _log_softmax(a.data, axis)
+
+    def vjp(g):
+        if not _grad_enabled:
+            return (_make(_log_softmax_grad(g.data, e, s, axis), "log_softmax_grad", (), None),)
+        z = a - broadcast_to(Tensor(np.max(a.data, axis=axis, keepdims=True)), a.shape)
+        st = sum_(exp(z), axis=axis, keepdims=True)
+        gs = mul(_unbroadcast(neg(g), st.shape), power(st, -1.0))
+        return (add(g, mul(broadcast_to(gs, a.shape), exp(z))),)
+
+    return _make(out, "log_softmax", (a,), vjp)
+
+
+def softmax_kl(a, t: np.ndarray) -> Tensor:
+    """Row mean of KL(softmax(a) ‖ softmax(t)) over 2-D logits ``a``, with
+    ``t`` a constant array of a's shape, as one node: bit for bit the value
+    and first-order gradient of the chain mean(Σ exp(lp)·(lp − lq)) over
+    ``lp = log_softmax(a)`` and ``lq = log_softmax(t)``, by its numpy ops in
+    its order. The gradient is not itself differentiable: a backward with
+    ``create_graph`` through this node raises GraphError.
+    """
+    a = _as_tensor(a)
+    t = np.asarray(t)
+    if a.data.ndim != 2 or t.shape != a.shape:
+        raise ShapeError("softmax_kl", a.shape, t.shape)
+    lp, e, s = _log_softmax(a.data, -1)
+    p = np.exp(lp)
+    diff = lp + -_log_softmax(t, -1)[0]
+    scale = 1.0 / a.shape[0]
+    out = (p * diff).sum(axis=-1).sum() * scale
+
+    def vjp(g):
+        if _grad_enabled:
+            raise GraphError("softmax_kl: the gradient is not differentiable again")
+        gm = g.data * scale
+        glp = gm * diff * p + gm * p
+        return (_make(_log_softmax_grad(glp, e, s, -1), "softmax_kl_grad", (), None),)
+
+    return _make(out, "softmax_kl", (a,), vjp)
 
 
 def l2_norm(a) -> Tensor:
@@ -504,7 +612,7 @@ def _row_major_product(m: int, co: int) -> bool:
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0,
-           cols: np.ndarray | None = None, bias=None) -> Tensor:
+           cols: np.ndarray | None = None, bias=None, relu: bool = False) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, OIHW filters.
 
     ``cols`` is im2col(x) when the caller already has it; the node keeps
@@ -515,7 +623,9 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
     ``conv2d_weight_grad`` node holds them too), so a second backward reuses
     them. ``bias``, of shape (co,), is added to each output channel in
     place, so a layer's conv and bias are one node; its adjoint is the sum
-    of g over (n, oh, ow).
+    of g over (n, oh, ow). ``relu`` applies relu to that sum in the node, as
+    ``matmul(relu=)`` does: the conv → relu unit keeps one activation, and
+    the node is ``relu(conv2d(...))`` bit for bit, first and second order.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
@@ -535,11 +645,12 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
         out = (wm @ xcols).reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
     del xcols
     out = np.ascontiguousarray(out)
-    if bias is not None:
-        out += bias.data.reshape(1, co, 1, 1)
+    _add_relu(out, None if bias is None else bias.data.reshape(1, co, 1, 1), relu, "conv2d")
 
     def vjp(g):
         nonlocal cols
+        if relu:
+            g = _relu_mask(g, out)
         gx = conv2d_input_grad(g, w, x.shape, stride, padding) if x.requires_grad else None
         gw = None
         if w.requires_grad:
@@ -672,17 +783,11 @@ def batch_norm(h, gamma, beta, eps: float, skip=None, relu: bool = False) -> Ten
     out *= inv
     out *= gamma.data.reshape(1, -1, 1, 1)
     out += beta.data.reshape(1, -1, 1, 1)
-    if skip is not None:
-        out += skip.data
-    if relu:
-        # the chain checks the sum before relu can absorb a non-finite entry
-        if not _all_finite(out):
-            raise NonFiniteError("batch_norm")
-        np.maximum(out, 0.0, out=out)
+    _add_relu(out, None if skip is None else skip.data, relu, "batch_norm")
 
     def vjp(g):
         if relu:
-            g = mul(g, Tensor((out > 0).astype(out.dtype)))
+            g = _relu_mask(g, out)
         stats = ((h.data + -mu) * inv, inv)
         return (batch_norm_input_grad(g, h, gamma, stats) if h.requires_grad else None,
                 sum_(mul(g, _normalized(h, stats)), axis=_BN_AXES)

@@ -68,6 +68,29 @@ class TestAdam:
         assert adam.lr_at(89) == pytest.approx(0.1)
         assert adam.lr_at(90) == pytest.approx(0.01)
 
+    def test_in_place_steps_equal_the_formula(self):
+        # m and v are updated in place and the logits replaced by a new
+        # array (alpha is cached on its identity), bit for bit the formula
+        rng = np.random.default_rng(3)
+        d = 64
+        dist = MaskDistribution(logits=rng.standard_normal(d), tau=2.0 / 3.0)
+        adam = AdamState(d=d, lr=0.1, lr_drops=((3, 0.1),))
+        m_array, v_array = adam.m, adam.v
+        m, v, logits = np.zeros(d), np.zeros(d), dist.logits.copy()
+        for t in range(1, 7):
+            g = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3, d)
+            lr = adam.lr_at(t - 1)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            logits = logits - lr * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+            before = dist.logits
+            adam_update(dist, g, adam)
+            assert dist.logits is not before
+            np.testing.assert_array_equal(dist.logits, logits)
+        assert adam.m is m_array and adam.v is v_array
+        np.testing.assert_array_equal(adam.m, m)
+        np.testing.assert_array_equal(adam.v, v)
+
     def test_gradient_length_checked(self):
         dist = MaskDistribution(np.zeros(4), 2 / 3)
         with pytest.raises(ControllerError):

@@ -21,6 +21,14 @@ def _trace(logits, loss=0.0, features=()):
                         loss=Tensor(np.asarray(float(loss))))
 
 
+def _reverse_kl_chain(s_logits, t_logits):
+    """The reverse KL as the chain of primitives the one node replaced."""
+    logp_s = T.log_softmax(s_logits, axis=-1)
+    logp_t = T.log_softmax(Tensor(t_logits), axis=-1)
+    p_s = T.exp(logp_s)
+    return T.mean(T.sum_(T.mul(p_s, logp_s - logp_t), axis=-1))
+
+
 def _softmax(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -64,6 +72,33 @@ class TestClosedForms:
         total = reverse_kl(_trace(s), _trace(t)).item()
         per = [reverse_kl(_trace(s[i:i + 1]), _trace(t[i:i + 1])).item() for i in range(6)]
         assert total == pytest.approx(np.mean(per), rel=1e-12)
+
+    def test_reverse_kl_one_node_bit_equal_to_chain(self):
+        # value and first-order gradients of student logits that are a product
+        rng = np.random.default_rng(16)
+        x, k = rng.standard_normal((6, 4)), rng.standard_normal((4, 5))
+        t = rng.standard_normal((6, 5)) * 2.0
+        results = []
+        for one_node in (True, False):
+            leaves = [Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)]
+            logits = T.matmul(*leaves)
+            if one_node:
+                r = reverse_kl(ForwardTrace(logits, [], Tensor(0.0)), _trace(t))
+                assert r._parents == (logits,)
+            else:
+                r = _reverse_kl_chain(logits, t)
+            results.append([r.data] + [g.data for g in T.backward(r, leaves)])
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    def test_reverse_kl_has_no_second_derivative(self):
+        s = Tensor(np.random.default_rng(17).standard_normal((4, 3)), requires_grad=True)
+        r = reverse_kl(ForwardTrace(s, [], Tensor(0.0)), _trace(np.zeros((4, 3))))
+        with pytest.raises(T.GraphError):
+            T.backward(r, [s], create_graph=True)
+        (g,) = T.backward(r, [s])
+        assert np.all(np.isfinite(g.data))
 
     def test_rel_loss_change(self):
         assert rel_loss_change(_trace([[0.0]], loss=1.5),

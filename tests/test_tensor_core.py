@@ -48,6 +48,42 @@ def _fd_check(f, x, tol=1e-6):
     np.testing.assert_allclose(g.data, g_fd, rtol=tol, atol=tol)
 
 
+def _first_and_second(fn, arrays, w, square=True):
+    """fn on one leaf per array: its value, the gradients in every leaf of
+    Σ w·fn² (Σ w·fn unless ``square``), from a plain backward and from one
+    under create_graph, and the gradients of the latter's weighted norm,
+    built in-graph, as arrays."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    y = T.mul(out, out) if square else out
+    plain = backward(T.sum_(T.mul(Tensor(w), y)), leaves)
+    first = backward(T.sum_(T.mul(Tensor(w), y)), leaves, create_graph=True)
+    flat = T.concat([T.reshape(f, (f.size,)) for f in first])
+    r = np.random.default_rng(8).uniform(0.5, 1.5, flat.size)
+    second = backward(T.l2_norm(T.mul(flat, Tensor(r))), leaves)
+    return [out.data] + [t.data for t in plain + first + second]
+
+
+def _assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def _log(a):
+    """The tracked log the log-softmax chain was built from."""
+    return T._make(np.log(a.data), "log", (a,), lambda g: (T.mul(g, T.power(a, -1.0)),))
+
+
+def _log_softmax_chain(a, axis=-1):
+    """Log-softmax as the chain of primitives the one node replaced."""
+    shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
+    z = a - T.broadcast_to(shift, a.shape)
+    lse = _log(T.sum_(T.exp(z), axis=axis, keepdims=True))
+    return z - T.broadcast_to(lse, a.shape)
+
+
 class TestElementwise:
     def test_add_mul_chain(self):
         x = RNG.standard_normal(7)
@@ -58,10 +94,9 @@ class TestElementwise:
         _fd_check(lambda t: T.sum_(T.power(t, 3.0)), x)
         _fd_check(lambda t: T.sum_(T.sqrt(t)), x)
 
-    def test_exp_log(self):
+    def test_exp(self):
         x = np.abs(RNG.standard_normal(5)) + 0.5
         _fd_check(lambda t: T.sum_(T.exp(t)), x)
-        _fd_check(lambda t: T.sum_(T.log(t)), x)
 
     def test_relu_grad_zero_at_zero(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
@@ -199,6 +234,40 @@ class TestSoftmax:
         _fd_check(lambda t: T.sum_(T.mul(T.log_softmax(T.reshape(t, (2, 4))), w)),
                   x.ravel())
 
+    def test_log_softmax_is_one_node(self, monkeypatch):
+        ops = []
+        real = T._make
+
+        def counting(data, op, parents, vjp):
+            ops.append(op)
+            return real(data, op, parents, vjp)
+
+        monkeypatch.setattr(T, "_make", counting)
+        leaf = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+        out = T.log_softmax(leaf)
+        assert ops == ["log_softmax"] and out._parents == (leaf,)
+
+    def test_log_softmax_bit_equal_to_chain_to_second_order(self):
+        # the value, first-order gradients (numpy adjoint, and tracked under
+        # create_graph) and a second-order grad-norm, of logits that are a
+        # product, so that second order reaches both factors. Bit for bit
+        # when, as in cross-entropy, the upstream gradient does not depend on
+        # the output; when it does, the second backward sums the same terms
+        # in another order
+        rng = np.random.default_rng(15)
+        arrays = [rng.standard_normal((6, 4)) * 3.0, rng.standard_normal((4, 5))]
+        w = rng.standard_normal((6, 5))
+
+        def run(log_softmax, square):
+            return _first_and_second(lambda x, k: log_softmax(T.matmul(x, k)), arrays, w,
+                                     square=square)
+
+        _assert_bit_equal(run(T.log_softmax, False), run(_log_softmax_chain, False))
+        got, want = run(T.log_softmax, True), run(_log_softmax_chain, True)
+        _assert_bit_equal(got[:5], want[:5])
+        for a, b in zip(got[5:], want[5:]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
 
 class TestConvPool:
     def test_conv2d_fd(self):
@@ -261,6 +330,71 @@ class TestConvPool:
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
                      bias=Tensor(np.zeros(2)))
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_matmul_bias_relu_bit_equal_to_chain(self, relu):
+        # matmul(bias=, relu=) against relu(add(matmul, bias)): value, the
+        # gradients in input, weight and bias, and a second-order grad-norm
+        rng = np.random.default_rng(12)
+        arrays = [rng.standard_normal((6, 5)), rng.standard_normal((5, 4)),
+                  rng.standard_normal(4)]
+        w = rng.standard_normal((6, 4))
+
+        def chain(a, b, c):
+            y = T.add(T.matmul(a, b), c)
+            return T.relu(y) if relu else y
+
+        got = _first_and_second(lambda a, b, c: T.matmul(a, b, bias=c, relu=relu), arrays, w)
+        if relu:
+            assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
+        _assert_bit_equal(got, _first_and_second(chain, arrays, w))
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (1, 0)])
+    def test_conv2d_relu_bit_equal_to_chain(self, stride, padding):
+        rng = np.random.default_rng(13)
+        arrays = [rng.standard_normal(s) for s in ((4, 3, 6, 6), (5, 3, 3, 3), (5,))]
+        w = rng.standard_normal((4, 5) + T._out_hw(6, 6, 3, 3, stride, padding))
+
+        def conv(x, k, c, relu):
+            return T.conv2d(x, k, stride=stride, padding=padding, bias=c, relu=relu)
+
+        got = _first_and_second(lambda x, k, c: conv(x, k, c, True), arrays, w)
+        assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
+        _assert_bit_equal(got, _first_and_second(lambda x, k, c: T.relu(conv(x, k, c, False)),
+                                                 arrays, w))
+
+    def test_fused_relu_checks_the_sum_before_relu(self):
+        # a -inf bias entry makes the sum -inf, which relu would turn into 0
+        bias = np.zeros(5)
+        bias[1] = -np.inf
+        with pytest.raises(NonFiniteError) as err:
+            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), bias=Tensor(bias),
+                     relu=True)
+        assert err.value.op == "matmul"
+        with pytest.raises(NonFiniteError) as err:
+            T.conv2d(Tensor(np.ones((1, 3, 4, 4))), Tensor(np.ones((5, 3, 3, 3))), padding=1,
+                     bias=Tensor(bias), relu=True)
+        assert err.value.op == "conv2d"
+
+    def test_dense_relu_unit_keeps_one_activation(self):
+        # the node keeps its output; matmul → add → relu kept three outputs
+        rng = np.random.default_rng(14)
+        h = Tensor(rng.standard_normal((256, 64)), requires_grad=True)
+        k, b = Tensor(rng.standard_normal((64, 512))), Tensor(np.zeros(512))
+        tracemalloc.start()
+        try:
+            out = T.matmul(h, k, bias=b, relu=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < 1.2 * out.data.nbytes
+
+    def test_matmul_bias_shape_checked(self):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), bias=Tensor(np.ones(3)))
 
 
 def _pool_composed(x, k):
@@ -496,10 +630,10 @@ class TestConvMatchesRowMajor:
         seen = set()
         real = T.conv2d
 
-        def recording(x, w, stride=1, padding=0, cols=None, bias=None):
+        def recording(x, w, stride=1, padding=0, cols=None, bias=None, relu=False):
             seen.add((x.shape[1], x.shape[2], w.shape[0], x.shape[3], w.shape[2],
                       stride, padding))
-            return real(x, w, stride=stride, padding=padding, cols=cols, bias=bias)
+            return real(x, w, stride=stride, padding=padding, cols=cols, bias=bias, relu=relu)
 
         monkeypatch.setattr(T, "conv2d", recording)
         for arch in ARCHS:
@@ -603,17 +737,6 @@ class TestBatchNorm:
         for fused, composed in zip(*results):
             np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
 
-    @staticmethod
-    def _first_and_second(bn, leaves, w):
-        """Value, first-order gradients in every leaf of Σ w·bn(leaves)², and
-        the gradients of their weighted norm, built in-graph."""
-        out = bn(*leaves)
-        first = backward(T.sum_(T.mul(Tensor(w), T.mul(out, out))), leaves, create_graph=True)
-        flat = T.concat([T.reshape(f, (f.size,)) for f in first])
-        r = np.random.default_rng(8).uniform(0.5, 1.5, flat.size)
-        second = backward(T.l2_norm(T.mul(flat, Tensor(r))), leaves)
-        return [out.data] + [t.data for t in first + second]
-
     @pytest.mark.parametrize("with_skip", [False, True])
     def test_fused_relu_and_skip_bit_equal_to_chain(self, with_skip):
         # batch_norm(relu=True) is relu(batch_norm(...)), and with skip=s
@@ -630,13 +753,10 @@ class TestBatchNorm:
             y = T.batch_norm(h, g, b, BN_EPS)
             return T.relu(T.add(s[0], y) if s else y)
 
-        results = [self._first_and_second(bn, [Tensor(a, requires_grad=True) for a in arrays], w)
-                   for bn in (fused, chain)]
-        assert len(results[0]) == 1 + 2 * len(arrays)
-        assert np.any(results[0][0] == 0.0) and np.any(results[0][0] > 0.0)
-        for a, b in zip(*results):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+        got = _first_and_second(fused, arrays, w)
+        assert len(got) == 1 + 3 * len(arrays)
+        assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
+        _assert_bit_equal(got, _first_and_second(chain, arrays, w))
 
     def test_fused_node_keeps_one_activation(self):
         # the node keeps its output and the per-channel mean and inverse
@@ -780,8 +900,46 @@ class TestGraphSemantics:
         with pytest.raises(NonFiniteError) as err:
             T.reshape(T.add(Tensor(x), 1.0), (3, 100))
         assert err.value.op == "add"
-        with pytest.raises(NonFiniteError, match="log"):
-            T.log(Tensor(np.array([0.0])))
+
+    @pytest.mark.parametrize("op, name", [
+        (lambda t: T.reshape(t, (3, 4)), "reshape"), (T.neg, "neg"), (T.transpose, "transpose"),
+        (lambda t: T.broadcast_to(t, (2, 4, 3)), "broadcast"), (T.relu, "relu")],
+        ids=["reshape", "neg", "transpose", "broadcast_to", "relu"])
+    def test_move_op_checks_a_leaf_parent(self, op, name):
+        # an op that only moves entries still checks a parent that is a leaf
+        x = np.ones((4, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            op(Tensor(x))
+        assert err.value.op == name
+
+    def test_move_op_of_nodes_is_not_checked_again(self, monkeypatch):
+        # a node's parents were checked, and moving finite entries keeps them so
+        node = T.mul(Tensor(np.ones((4, 3))), 2.0)
+        checked = []
+        real = T._all_finite
+
+        def counting(data):
+            checked.append(data.shape)
+            return real(data)
+
+        monkeypatch.setattr(T, "_all_finite", counting)
+        for move in (lambda t: T.reshape(t, (3, 4)), T.neg, T.transpose, T.relu,
+                     lambda t: T.broadcast_to(t, (2, 4, 3)), lambda t: T.concat([t, t]),
+                     lambda t: T.narrow(t, slice(1, 3)), lambda t: T.embed(t, (5, 3), slice(0, 4))):
+            move(node)
+        assert checked == []
+        T.mul(node, 2.0)
+        assert checked == [(4, 3)]
+
+    def test_full_reduction_node_holds_a_0d_array(self):
+        # numpy returns a scalar; the node holds a 0-d float64 array, whose
+        # ** -0.5 is numpy's loop and not libm's pow
+        total = T.sum_(Tensor(np.arange(4.0)))
+        half = T.mul(total, 0.5)
+        for t in (total, half):
+            assert type(t.data) is np.ndarray
+            assert t.data.shape == () and t.data.dtype == np.float64
 
     @pytest.mark.parametrize("x", [np.full(5, 1e200), np.full(5, -1e200),
                                    np.full(5, 1e20, dtype=np.float32),
