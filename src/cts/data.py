@@ -9,7 +9,7 @@ from __future__ import annotations
 import inspect
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,23 @@ class Dataset:
     y_test: np.ndarray
     input_shape: tuple
     num_classes: int
+    # (step, batch_size, seed) -> that batch's row indices
+    _batch_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def batch(self, step: int, batch_size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Training batch ``step`` of the stream ``seed``."""
-        rng = np.random.default_rng(np.random.SeedSequence([23, seed, step]))
-        idx = rng.choice(len(self.x_train), size=min(batch_size, len(self.x_train)), replace=False)
+        """Training batch ``step`` of the stream ``seed``, as fresh arrays.
+
+        Each batch's row indices are drawn once per Dataset and kept, so
+        the trainings that replay one stream (LTR's rounds, a sanity
+        group's retrains) draw them once; every call gathers the rows anew.
+        """
+        key = (step, batch_size, seed)
+        idx = self._batch_rows.get(key)
+        if idx is None:
+            rng = np.random.default_rng(np.random.SeedSequence([23, seed, step]))
+            idx = rng.choice(len(self.x_train), size=min(batch_size, len(self.x_train)),
+                             replace=False)
+            self._batch_rows[key] = idx
         return self.x_train[idx], self.y_train[idx]
 
     def eval_batch(self, n: int = 256, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

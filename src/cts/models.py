@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, cross_entropy
 
 ARCHS = ("mlp-2x256", "lenet-conv4", "resnet-tiny", "tiny-mlp")
 
@@ -274,14 +274,6 @@ def build_model(arch: str, seed: int, input_shape=None, num_classes=None) -> Mod
 
 # -- forward ----------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    n, c = logits.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    logp = T.log_softmax(logits, axis=-1)
-    return T.neg(T.mean(T.sum_(T.mul(logp, Tensor(onehot)), axis=-1)))
-
-
 def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | None) -> Tensor:
     """``h`` through ``specs``; post-relu activations go to ``features``
     unless it is None. A dense, conv or batch-norm layer that a relu follows
@@ -385,54 +377,62 @@ def loss_grads(model: ModelState, x, y, leaves: dict[str, Tensor],
     return T.backward(loss, list(leaves.values()), create_graph=create_graph)
 
 
-def _decayable(name: str) -> bool:
-    # weight decay on dense/conv weights only, never biases or batch-norm
-    return name.endswith(".w")
-
-
 def train(model: ModelState, data, cfg: TrainConfig, mask: np.ndarray | None = None,
           start_step: int = 0, stop_step: int | None = None) -> ModelState:
     """SGD with momentum and weight decay; masked entries stay exactly zero.
 
     The learning-rate schedule is indexed by global step, so a retrain that
     resumes at step k inherits the schedule position.
+
+    Parameters, gradient and momentum are each one flat vector: the
+    maskable weights first, in the d-vector layout of ``maskable_index``,
+    then the biases and batch-norm parameters. Weight decay covers exactly
+    the first d entries (dense and conv weights), and the mask multiplies
+    them directly, so a step is a few whole-vector operations, each entry
+    seeing the per-parameter update's operations in its order. The
+    returned parameters are views into the trained vector; ``ModelState.copy``
+    and ``masked`` copy them.
     """
     out = model.copy() if mask is None else model.masked(mask)
     stop = cfg.steps if stop_step is None else stop_step
-    names = [n for n in out.params]
-    momentum = {n: np.zeros_like(out.params[n]) for n in names}
-    layer_masks = {} if mask is None else {
-        name: m.astype(out.params[name].dtype)
-        for (name, _, _), m in zip(out.maskable_index, out.layer_views(mask))}
+    d = out.d
+    maskable = [name for name, _, _ in out.maskable_index]
+    layout = maskable + [n for n in out.params if n not in maskable]
+    theta = np.concatenate([out.params[n].reshape(-1) for n in layout])
+    views, off = {}, 0
+    for n in layout:
+        p = out.params[n]
+        views[n] = theta[off:off + p.size].reshape(p.shape)
+        off += p.size
+    out.params = {n: views[n] for n in out.params}
+    grad, momentum = np.empty_like(theta), np.zeros_like(theta)
+    m = None if mask is None else np.asarray(mask).reshape(-1).astype(theta.dtype)
 
     bad_steps = 0
     for step in range(start_step, stop):
         xb, yb = data.batch(step, cfg.batch_size, cfg.seed)
         try:
-            grads = [g.data for g in loss_grads(
-                out, xb, yb, {n: Tensor(out.params[n], requires_grad=True) for n in names})]
+            grads = loss_grads(out, xb, yb,
+                               {n: Tensor(views[n], requires_grad=True) for n in layout})
             bad_steps = 0
         except T.NonFiniteError:
             bad_steps += 1
             if bad_steps >= 50:
                 raise DivergenceError(f"non-finite loss for {bad_steps} consecutive steps")
             continue
+        np.concatenate([g.data.reshape(-1) for g in grads], out=grad)
         lr = cfg.lr_at(step)
-        for n, g in zip(names, grads):
-            lm = layer_masks.get(n)
-            if cfg.weight_decay and _decayable(n):
-                decay = cfg.weight_decay * out.params[n]
-                if lm is not None:
-                    decay *= lm
-                g = g + decay
-            if lm is not None:
-                g = g * lm
-            mom = momentum[n]
-            mom *= cfg.momentum
-            mom += g
-            p = out.params[n] - lr * mom
-            if lm is not None:
-                p *= lm
-            out.params[n] = p
+        if cfg.weight_decay:
+            decay = cfg.weight_decay * theta[:d]
+            if m is not None:
+                decay *= m
+            grad[:d] += decay
+        if m is not None:
+            grad[:d] *= m
+        momentum *= cfg.momentum
+        momentum += grad
+        theta -= lr * momentum
+        if m is not None:
+            theta[:d] *= m
     return out
 

@@ -2,11 +2,12 @@
 
 Covers exactly the op set the small models and pruning objectives need:
 elementwise arithmetic with broadcasting, matmul, 2-D convolution, batch
-norm, relu, exp, log-softmax, the reverse KL of two softmaxes, reductions,
-slicing/concat and the L2 norm. Ops are module functions (``matmul``, ``sum_``, ``power``, ...); a
-Tensor spells only ``+``, binary ``-`` and ``*`` as operators. ``backward``
-returns the gradients of a scalar root for the requested tensors, as a list
-in their order. Every backward rule is itself composed of these primitives, so
+norm, relu, exp, log-softmax, cross-entropy, the reverse KL of two
+softmaxes, reductions, slicing/concat and the L2 norm. Ops are module
+functions (``matmul``, ``sum_``, ``power``, ...); a Tensor spells only
+``+``, binary ``-`` and ``*`` as operators. ``backward`` returns the
+gradients of a scalar root for the requested tensors, as a list in their
+order. Every backward rule is itself composed of these primitives, so
 gradients can be differentiated again (needed when an objective is a function
 of a gradient, and for Hessian-vector products). Convolution's two adjoints,
 ``conv2d_input_grad`` and ``conv2d_weight_grad``, are tracked primitives
@@ -20,19 +21,24 @@ input is the one rule that is a plain numpy kernel, so a third derivative
 through batch norm raises GraphError. Average pooling is one node too:
 ``avg_pool2d`` and ``avg_pool2d_grad`` are each other's adjoints, and the
 forward adds each block in the order of the reshape-and-sum it replaces.
-``log_softmax`` is one node, and so is ``softmax_kl``, the reverse KL, whose
-gradient is a numpy kernel that a second derivative cannot go through
-(GraphError).
+``log_softmax`` is one node, and so is ``cross_entropy``, the training
+loss, and ``softmax_kl``, the reverse KL, whose gradient is a numpy kernel
+that a second derivative cannot go through (GraphError). A first-order
+backward (no ``create_graph``) builds no node that only serves a vjp: a
+relu's mask multiplies the adjoint in one untracked node, and ``matmul``'s
+adjoints take their transposed operand as a plain copy, not a
+``transpose`` node.
 
 Every node's output is checked to be finite (NonFiniteError names the op).
 One call decides it, the sum of squares, unless that sum overflows; the
 check stays per node, because a later op can absorb a non-finite value
-(relu(-inf) = 0), and a fused relu checks its sum before relu. The ops that
-only move, copy, negate or zero entries (reshape, transpose, broadcast_to,
-neg, relu, narrow, embed, concat) skip the check when every parent is a
-node, not a leaf: each such parent was checked when it was made, and finite
-entries stay finite. A leaf parent is checked, so the op that first holds a
-non-finite entry is still the one named.
+(relu(-inf) = 0), and a fused relu checks its sum before relu, and not its
+output again. The ops that only move, copy, negate or zero entries
+(reshape, transpose, broadcast_to, neg, relu, narrow, embed, concat) skip
+the check when every parent is a node, not a leaf: each such parent was
+checked when it was made, and finite entries stay finite. A leaf parent is
+checked, so the op that first holds a non-finite entry is still the one
+named.
 
 What a graph keeps: each node's output, and what its vjp reads besides its
 parents. A conv2d keeps no im2col columns (9× its input for a 3×3 kernel
@@ -228,14 +234,18 @@ _MOVES = frozenset(("reshape", "transpose", "broadcast", "neg", "relu", "slice",
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _make(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable,
+          checked: bool = False) -> Tensor:
     """A node of value ``data``: checked finite, unless ``op`` only moves
-    entries of parents that are all nodes. A numpy scalar, such as a full
-    reduction's, becomes a 0-d array: ``** -0.5`` of a scalar goes to libm's
-    ``pow``, of a 0-d array to numpy's own loop, and the two can differ."""
+    entries of parents that are all nodes, or the caller has ``checked`` the
+    entries that made ``data`` (a fused relu checks its sum). A numpy
+    scalar, such as a full reduction's, becomes a 0-d array: ``** -0.5`` of
+    a scalar goes to libm's ``pow``, of a 0-d array to numpy's own loop, and
+    the two can differ."""
     if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
         data = Tensor(data).data
-    if (op not in _MOVES or "leaf" in [p._op for p in parents]) and not _all_finite(data):
+    if (not checked and (op not in _MOVES or "leaf" in [p._op for p in parents])
+            and not _all_finite(data)):
         raise NonFiniteError(op)
     t = object.__new__(Tensor)
     t.data = data
@@ -329,8 +339,13 @@ def relu(a) -> Tensor:
 
 
 def _relu_mask(g: Tensor, x: np.ndarray) -> Tensor:
-    """g masked by ``x > 0``, relu's adjoint at ``x`` (or at relu(x))."""
-    return mul(g, Tensor((x > 0).astype(x.dtype)))
+    """g masked by ``x > 0``, relu's adjoint at ``x`` (or at relu(x)). A
+    first-order backward makes the product as one untracked node, checked
+    like ``mul``'s."""
+    mask = (x > 0).astype(x.dtype)
+    if not _grad_enabled:
+        return _make(g.data * mask, "mul", (), None)
+    return mul(g, Tensor(mask))
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -403,6 +418,13 @@ def transpose(a) -> Tensor:
     return _make(a.data.T.copy(), "transpose", (a,), lambda g: (transpose(g),))
 
 
+def _operand_t(a: Tensor) -> Tensor:
+    """``a`` transposed as an operand of a vjp's product: a ``transpose``
+    node under ``create_graph``, otherwise a plain Tensor of the same copy.
+    The copy stays: OpenBLAS sums a transposed view in another order."""
+    return transpose(a) if _grad_enabled else Tensor(a.data.T.copy())
+
+
 def narrow(a, idx) -> Tensor:
     """Slice a tensor; gradient scatters back into a zero tensor."""
     a = _as_tensor(a)
@@ -446,7 +468,8 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 def _add_relu(out: np.ndarray, addend: np.ndarray | None, relu: bool, op: str) -> None:
     """Add ``addend`` to ``out`` in place and, under ``relu``, check the sum,
     as the chain's add did, before relu can absorb a non-finite entry, and
-    apply relu in place."""
+    apply relu in place. Relu keeps finite entries finite, so the node made
+    of ``out`` is ``checked`` then."""
     if addend is not None:
         out += addend
     if relu:
@@ -477,11 +500,11 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     def vjp(g):
         if relu:
             g = _relu_mask(g, out)
-        return (matmul(g, transpose(b)) if a.requires_grad else None,
-                matmul(transpose(a), g) if b.requires_grad else None,
+        return (matmul(g, _operand_t(b)) if a.requires_grad else None,
+                matmul(_operand_t(a), g) if b.requires_grad else None,
                 _unbroadcast(g, bias.shape) if bias is not None and bias.requires_grad else None)
 
-    return _make(out, "matmul", parents, vjp)
+    return _make(out, "matmul", parents, vjp, checked=relu)
 
 
 def _log_softmax(x: np.ndarray, axis: int):
@@ -525,6 +548,42 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         return (add(g, mul(broadcast_to(gs, a.shape), exp(z))),)
 
     return _make(out, "log_softmax", (a,), vjp)
+
+
+def cross_entropy(a, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of 2-D logits ``a`` against integer ``labels`` as
+    one node: bit for bit the chain −mean(Σ log_softmax(a) · onehot) it
+    replaced, by that chain's numpy ops in its order, in value, first-order
+    gradient and second order.
+
+    The chain hands log-softmax the upstream gradient (−g / n) · onehot,
+    whose off-label zeros are −0.0; the vjp builds it by the same ops. A
+    first-order backward then takes log-softmax's numpy adjoint of it from
+    the saved exp(z) and Σ exp(z), as one untracked node. Under
+    ``create_graph`` that gradient is built of tracked ops of ``g`` and
+    handed to the vjp of a ``log_softmax`` node of ``a``, the tracked
+    rebuild of the chain's adjoint; where ``g`` is a constant, as for a
+    loss that is the root (``grad``, ``gradnorm``, GraSP), second order is
+    the chain's bit for bit.
+    """
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError("cross_entropy", a.shape)
+    n, c = a.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    lp, e, s = _log_softmax(a.data, -1)
+    scale = 1.0 / n
+    out = -((lp * onehot).sum(axis=-1).sum() * scale)
+
+    def vjp(g):
+        if _grad_enabled:
+            gl = mul(broadcast_to(mul(neg(g), scale), onehot.shape), Tensor(onehot))
+            return log_softmax(a, -1)._vjp(gl)
+        gl = -g.data * scale * onehot
+        return (_make(_log_softmax_grad(gl, e, s, -1), "cross_entropy_grad", (), None),)
+
+    return _make(out, "cross_entropy", (a,), vjp)
 
 
 def softmax_kl(a, t: np.ndarray) -> Tensor:
@@ -589,8 +648,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
                   as_strided(flat, (c, kh, kw, n, h * w),
                              (flat.strides[0], w * e, e, band * e, e)))
         for j in range(kw):  # columns whose window left the row
-            cols[:, :, j, :, :, :max(p - j, 0)] = 0.0
-            cols[:, :, j, :, :, w + min(p - j, 0):] = 0.0
+            if j < p:
+                cols[:, :, j, :, :, :p - j] = 0.0
+            elif j > p:
+                cols[:, :, j, :, :, w + p - j:] = 0.0
     else:
         xp = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
         xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
@@ -662,7 +723,7 @@ def conv2d(x, w, stride: int = 1, padding: int = 0,
                 sum_(g, axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None)
 
     parents = (x, w) if bias is None else (x, w, bias)
-    return _make(out, "conv2d", parents, vjp)
+    return _make(out, "conv2d", parents, vjp, checked=relu)
 
 
 # the bytes of one block of conv2d_input_grad's Wᵀ·grid product
@@ -795,7 +856,7 @@ def batch_norm(h, gamma, beta, eps: float, skip=None, relu: bool = False) -> Ten
                 sum_(g, axis=_BN_AXES) if beta.requires_grad else None,
                 g if skip is not None and skip.requires_grad else None)
 
-    return _make(out, "batch_norm", parents, vjp)
+    return _make(out, "batch_norm", parents, vjp, checked=relu)
 
 
 def _normalized(h: Tensor, stats) -> Tensor:
@@ -880,11 +941,17 @@ def avg_pool2d(x, k: int) -> Tensor:
 
 
 def avg_pool2d_grad(g, k: int) -> Tensor:
-    """Adjoint of avg_pool2d: each entry of g / k² spread over its k×k block."""
+    """Adjoint of avg_pool2d: each entry of g / k² spread over its k×k block,
+    by one strided copy per offset in the block. That holds no array beside
+    g / k² and the output (``np.repeat`` twice would hold one k times g's
+    size), and is faster than one 6-d broadcast copy."""
     g = _as_tensor(g)
     n, c, hb, wb = g.shape
+    gs = g.data * (1.0 / (k * k))
     out = np.empty((n, c, hb, k, wb, k), dtype=g.data.dtype)
-    out[...] = (g.data * (1.0 / (k * k)))[:, :, :, None, :, None]
+    for i in range(k):
+        for j in range(k):
+            out[:, :, :, i, :, j] = gs
     return _make(out.reshape(n, c, hb * k, wb * k), "avg_pool2d_grad", (g,),
                  lambda u: (avg_pool2d(u, k),))
 

@@ -78,6 +78,33 @@ class TestBlobs:
         np.testing.assert_array_equal(x1, x2)
         assert not np.array_equal(x1, x3)
 
+    def test_batch_rows_drawn_once_returned_fresh(self, monkeypatch):
+        # the kept row indices give the rows a fresh Dataset draws, and every
+        # call gathers them into new arrays
+        d = make_blobs(classes=3, dim=6, n=300, seed=2)
+        draws = []
+        real = np.random.default_rng
+
+        def counting(*args):
+            draws.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        for step, size, seed in [(0, 32, 1), (7, 32, 1), (7, 16, 4), (3, 1000, 0)]:
+            first = d.batch(step, size, seed)
+            again = d.batch(step, size, seed)
+            assert len(draws) == 1
+            draws.clear()
+            fresh = make_blobs(classes=3, dim=6, n=300, seed=2).batch(step, size, seed)
+            draws.clear()
+            for a, b, c in zip(first, again, fresh):
+                np.testing.assert_array_equal(a, c)
+                np.testing.assert_array_equal(b, c)
+                assert not np.shares_memory(a, b)
+            first[0][:] = 0.0
+            np.testing.assert_array_equal(d.batch(step, size, seed)[0], fresh[0])
+        assert len(d.x_train) == 240 and d.batch(3, 1000, 0)[0].shape[0] == 240
+
 
 class TestIdx:
     def test_roundtrip(self, tmp_path):

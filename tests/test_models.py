@@ -9,11 +9,60 @@ import cts.objectives as obj
 import cts.tensor as T
 from cts.data import make_blobs
 from cts.models import (ARCHS, AvgPool, BatchNorm, ModelError, ModelState, TrainConfig,
-                        _flatten_specs, build_model, evaluate, forward, train)
+                        _flatten_specs, build_model, evaluate, forward, loss_grads, train)
 
 
 def small_data(image=False, dim=8, classes=2, n=400, seed=3):
     return make_blobs(classes=classes, dim=dim, n=n, seed=seed, image=image)
+
+
+def _train_per_parameter(model, data, cfg, mask=None):
+    """models.train as the loop over parameters it was before its update ran
+    on one flat vector: the reference that update must reproduce."""
+    out = model.copy() if mask is None else model.masked(mask)
+    names = [n for n in out.params]
+    momentum = {n: np.zeros_like(out.params[n]) for n in names}
+    layer_masks = {} if mask is None else {
+        name: m.astype(out.params[name].dtype)
+        for (name, _, _), m in zip(out.maskable_index, out.layer_views(mask))}
+    for step in range(cfg.steps):
+        xb, yb = data.batch(step, cfg.batch_size, cfg.seed)
+        try:
+            grads = [g.data for g in loss_grads(
+                out, xb, yb, {n: T.Tensor(out.params[n], requires_grad=True) for n in names})]
+        except T.NonFiniteError:
+            continue
+        lr = cfg.lr_at(step)
+        for n, g in zip(names, grads):
+            lm = layer_masks.get(n)
+            if cfg.weight_decay and n.endswith(".w"):
+                decay = cfg.weight_decay * out.params[n]
+                if lm is not None:
+                    decay *= lm
+                g = g + decay
+            if lm is not None:
+                g = g * lm
+            mom = momentum[n]
+            mom *= cfg.momentum
+            mom += g
+            p = out.params[n] - lr * mom
+            if lm is not None:
+                p *= lm
+            out.params[n] = p
+    return out
+
+
+class _NonFiniteAt:
+    """A dataset whose batch at one step holds a NaN, so that step is skipped."""
+
+    def __init__(self, data, bad_step):
+        self.data, self.bad_step = data, bad_step
+
+    def batch(self, step, batch_size, seed):
+        x, y = self.data.batch(step, batch_size, seed)
+        if step == self.bad_step:
+            x[0].flat[0] = np.nan
+        return x, y
 
 
 class TestBuild:
@@ -63,9 +112,9 @@ class TestGraphSize:
         ops = []
         real = T._make
 
-        def counting(data, op, parents, vjp):
+        def counting(data, op, parents, vjp, **kw):
             ops.append(op)
-            return real(data, op, parents, vjp)
+            return real(data, op, parents, vjp, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         leaves = {n: T.Tensor(model.params[n], requires_grad=True)
@@ -85,9 +134,9 @@ class TestGraphSize:
         ops = []
         real = T._make
 
-        def counting(data, op, parents, vjp):
+        def counting(data, op, parents, vjp, **kw):
             ops.append((op, data.ndim))
-            return real(data, op, parents, vjp)
+            return real(data, op, parents, vjp, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         leaves = {n: T.Tensor(model.params[n], requires_grad=True)
@@ -124,10 +173,10 @@ class TestGraphSize:
         ops, ndims = [], set()
         real = T._make
 
-        def counting(data, op, parents, vjp):
+        def counting(data, op, parents, vjp, **kw):
             ops.append(op)
             ndims.add(data.ndim)
-            return real(data, op, parents, vjp)
+            return real(data, op, parents, vjp, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         leaves = {n: T.Tensor(model.params[n], requires_grad=True)
@@ -150,9 +199,9 @@ class TestGraphSize:
         counts = {"nodes": 0, "im2col": 0}
         real_make, real_im2col = T._make, T._im2col
 
-        def counting_make(*args):
+        def counting_make(*args, **kw):
             counts["nodes"] += 1
-            return real_make(*args)
+            return real_make(*args, **kw)
 
         def counting_im2col(*args):
             counts["im2col"] += 1
@@ -166,12 +215,14 @@ class TestGraphSize:
         assert counts["im2col"] == 34
 
     @pytest.mark.parametrize("arch, shape, step, most", [
-        ("lenet-conv4", (1, 8, 8), "train", 41), ("lenet-conv4", (1, 8, 8), "kl", 41),
-        ("mlp-2x256", (20,), "kl", 28)], ids=["lenet-train", "lenet-kl", "mlp-kl"])
+        ("lenet-conv4", (1, 8, 8), "train", 26), ("lenet-conv4", (1, 8, 8), "kl", 37),
+        ("mlp-2x256", (20,), "kl", 23)], ids=["lenet-train", "lenet-kl", "mlp-kl"])
     def test_nodes_per_step(self, arch, shape, step, most, monkeypatch):
         # nodes one masked train step or one kl search step builds. While a
         # layer's bias and relu, log-softmax and the reverse KL were chains of
-        # nodes, and moving ops were checked, they were 61, 91 and 78
+        # nodes, and moving ops were checked, they were 61, 91 and 78; while
+        # cross-entropy was a chain and a first-order backward built relu-mask
+        # and transpose nodes, 41, 41 and 28
         from cts.mask import sample_logistic, step_rng
         model = build_model(arch, 0, shape, 4)
         data = small_data(image=len(shape) == 3, dim=int(np.prod(shape)), classes=4)
@@ -181,9 +232,9 @@ class TestGraphSize:
         count = [0]
         real = T._make
 
-        def counting(*args):
+        def counting(*args, **kw):
             count[0] += 1
-            return real(*args)
+            return real(*args, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         if step == "train":
@@ -200,9 +251,9 @@ class TestGraphSize:
         ops, builds = [], []
         real_make, real_im2col = T._make, T._im2col
 
-        def counting_make(data, op, parents, vjp):
+        def counting_make(data, op, parents, vjp, **kw):
             ops.append(op)
-            return real_make(data, op, parents, vjp)
+            return real_make(data, op, parents, vjp, **kw)
 
         def counting_im2col(*args):
             builds.append(args[0].shape)
@@ -395,6 +446,32 @@ class TestTrain:
         v = final.maskable_vector()
         np.testing.assert_array_equal(v[mask == 0], 0.0)
         assert np.any(v[mask == 1] != start.maskable_vector()[mask == 1])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    @pytest.mark.parametrize("arch", ["mlp-2x256", "lenet-conv4", "resnet-tiny"])
+    def test_flat_update_bit_equal_to_per_parameter_loop(self, arch, masked, weight_decay):
+        # momentum, an lr drop and one step skipped as non-finite; every
+        # parameter, weights, biases and batch norm, bit for bit
+        shape = (20,) if arch == "mlp-2x256" else (1, 8, 8)
+        data = _NonFiniteAt(small_data(image=len(shape) == 3, dim=int(np.prod(shape)),
+                                       classes=4), bad_step=2)
+        model = build_model(arch, 1, shape, 4)
+        mask = None
+        if masked:
+            mask = (np.random.default_rng(4).random(model.d) < 0.4).astype(np.int64)
+        cfg = TrainConfig(steps=7, batch_size=16, lr=0.05, momentum=0.9,
+                          weight_decay=weight_decay, lr_drops=((4, 0.1),), seed=2)
+        got = train(model, data, cfg, mask=mask)
+        want = _train_per_parameter(model, data, cfg, mask=mask)
+        assert list(got.params) == list(want.params)
+        for name in want.params:
+            assert got.params[name].shape == want.params[name].shape
+            np.testing.assert_array_equal(got.params[name], want.params[name])
+            np.testing.assert_array_equal(np.signbit(got.params[name]),
+                                          np.signbit(want.params[name]))
+        assert not np.array_equal(got.params[model.maskable_index[0][0]],
+                                  model.params[model.maskable_index[0][0]])
 
     def test_lr_schedule(self):
         cfg = TrainConfig(steps=100, lr=0.1, lr_drops=((90, 0.1),), seed=0)

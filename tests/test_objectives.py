@@ -282,9 +282,9 @@ class TestMaskLeaves:
         ops = []
         real = T._make
 
-        def counting(data, op, parents, vjp):
+        def counting(data, op, parents, vjp, **kw):
             ops.append(op)
-            return real(data, op, parents, vjp)
+            return real(data, op, parents, vjp, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         value_and_alpha_grad(tag, model, x, y, rng.standard_normal(model.d),

@@ -238,9 +238,9 @@ class TestSoftmax:
         ops = []
         real = T._make
 
-        def counting(data, op, parents, vjp):
+        def counting(data, op, parents, vjp, **kw):
             ops.append(op)
-            return real(data, op, parents, vjp)
+            return real(data, op, parents, vjp, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         leaf = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
@@ -267,6 +267,46 @@ class TestSoftmax:
         _assert_bit_equal(got[:5], want[:5])
         for a, b in zip(got[5:], want[5:]):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_cross_entropy_bit_equal_to_chain_to_second_order(self):
+        # the value, first-order gradients (numpy adjoint, and tracked under
+        # create_graph) and a second-order grad-norm against the chain
+        # -mean(Σ log_softmax · onehot) the node replaced, with a weight on
+        # the loss so that the upstream gradient is not 1
+        rng = np.random.default_rng(16)
+        arrays = [rng.standard_normal((6, 4)) * 3.0, rng.standard_normal((4, 5))]
+        labels = rng.integers(0, 5, 6)
+        onehot = np.zeros((6, 5))
+        onehot[np.arange(6), labels] = 1.0
+
+        def chain(logits, _):
+            logp = T.log_softmax(logits, axis=-1)
+            return T.neg(T.mean(T.sum_(T.mul(logp, Tensor(onehot)), axis=-1)))
+
+        def run(loss, weight):
+            return _first_and_second(lambda x, k: loss(T.matmul(x, k), labels), arrays,
+                                     np.asarray(weight), square=False)
+
+        for weight in (1.0, -0.7):
+            _assert_bit_equal(run(T.cross_entropy, weight), run(chain, weight))
+
+    def test_cross_entropy_is_one_node_each_way(self, monkeypatch):
+        # one node forward, and one untracked node for its first-order gradient
+        ops = []
+        real = T._make
+
+        def counting(data, op, parents, vjp, **kw):
+            ops.append(op)
+            return real(data, op, parents, vjp, **kw)
+
+        monkeypatch.setattr(T, "_make", counting)
+        leaf = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+        out = T.cross_entropy(leaf, np.array([0, 3, 1]))
+        assert ops == ["cross_entropy"] and out._parents == (leaf,)
+        (g,) = backward(out, [leaf])
+        assert ops == ["cross_entropy", "cross_entropy_grad"] and g._parents == ()
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.ones(3)), np.array([0]))
 
 
 class TestConvPool:
@@ -378,6 +418,37 @@ class TestFusedLayers:
                      bias=Tensor(bias), relu=True)
         assert err.value.op == "conv2d"
 
+    @pytest.mark.parametrize("op", ["matmul", "conv2d", "batch_norm"])
+    def test_fused_relu_node_checks_once(self, op, monkeypatch):
+        # the sum is checked before relu; relu keeps finite entries finite, so
+        # the node's output is not checked again. A -inf in the sum is still
+        # caught and named after the op
+        rng = np.random.default_rng(17)
+        h = rng.standard_normal((2, 3, 4, 4))
+        build = {
+            "matmul": lambda bias: T.matmul(Tensor(rng.standard_normal((2, 3))),
+                                            Tensor(rng.standard_normal((3, 5))),
+                                            bias=Tensor(bias[:5]), relu=True),
+            "conv2d": lambda bias: T.conv2d(Tensor(h), Tensor(rng.standard_normal((5, 3, 3, 3))),
+                                            padding=1, bias=Tensor(bias[:5]), relu=True),
+            "batch_norm": lambda bias: T.batch_norm(Tensor(h), Tensor(np.ones(3)),
+                                                    Tensor(bias[:3]), 1e-5, relu=True)}[op]
+        checked = []
+        real = T._all_finite
+
+        def counting(data):
+            checked.append(data.shape)
+            return real(data)
+
+        monkeypatch.setattr(T, "_all_finite", counting)
+        out = build(np.zeros(5))
+        assert checked == [out.shape]
+        bias = np.zeros(5)
+        bias[1] = -np.inf
+        with pytest.raises(NonFiniteError) as err:
+            build(bias)
+        assert err.value.op == op
+
     def test_dense_relu_unit_keeps_one_activation(self):
         # the node keeps its output; matmul → add → relu kept three outputs
         rng = np.random.default_rng(14)
@@ -452,6 +523,32 @@ class TestAvgPool:
     def test_indivisible_size_raises(self):
         with pytest.raises(ShapeError):
             T.avg_pool2d(Tensor(np.ones((1, 2, 5, 4))), 2)
+
+    def test_grad_bit_equal_to_broadcast_at_arch_shapes(self, monkeypatch):
+        # the pool shapes of models.ARCHS at batch 32, recorded from a forward;
+        # the adjoint against each entry of g / k² broadcast over its block
+        from cts.models import ARCHS, build_model, default_input_shape, forward
+        seen = set()
+        real = T.avg_pool2d
+
+        def recording(x, k):
+            seen.add((x.shape, k))
+            return real(x, k)
+
+        monkeypatch.setattr(T, "avg_pool2d", recording)
+        for arch in ARCHS:
+            forward(build_model(arch, 0), np.zeros((32,) + default_input_shape(arch)))
+        assert seen == {((32, 8, 8, 8), 2), ((32, 16, 4, 4), 2)}
+        rng = np.random.default_rng(18)
+        for (n, c, h, w), k in sorted(seen):
+            g = rng.standard_normal((n, c, h // k, w // k))
+            g[g < -1.0] = -0.0
+            want = np.empty((n, c, h // k, k, w // k, k))
+            want[...] = (g * (1.0 / (k * k)))[:, :, :, None, :, None]
+            got = T.avg_pool2d_grad(Tensor(g), k).data
+            np.testing.assert_array_equal(got, want.reshape(n, c, h, w))
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want.reshape(n, c, h, w)))
+            assert got.flags.c_contiguous
 
 
 def _conv_pad_scalar(x, w):
@@ -876,9 +973,9 @@ class TestGraphSemantics:
         ops = []
         real = T._make
 
-        def counting(data, op, parents, vjp):
+        def counting(data, op, parents, vjp, **kw):
             ops.append(op)
-            return real(data, op, parents, vjp)
+            return real(data, op, parents, vjp, **kw)
 
         monkeypatch.setattr(T, "_make", counting)
         (g,) = backward(out, [x])

@@ -25,7 +25,9 @@ Hashed:
   training settings, seed 3): ticket and retrained params;
 - a `tiny-mlp` brute-force oracle table with `kl` (220 masks);
 - the final params of a masked `models.train` on the conv nets (40 steps,
-  weight decay and one learning-rate drop), the path of every conv's bias.
+  weight decay and one learning-rate drop), the path of every conv's bias,
+  and of an unmasked one on `resnet-tiny` and `mlp-2x256`, the path of the
+  parameters weight decay skips (biases and batch norm).
 """
 
 from __future__ import annotations
@@ -180,6 +182,12 @@ def train_digests():
         cfg = TrainConfig(steps=40, batch_size=32, lr=0.05, lr_drops=((20, 0.1),), seed=5)
         final = train(model, data, cfg, mask=mask)
         yield f"train {arch} masked params", sha(*(final.params[k] for k in sorted(final.params)))
+    for arch, spec in (("resnet-tiny", IMAGE_BLOBS), ("mlp-2x256", VECTOR_BLOBS)):
+        data = load_dataset(spec.format(seed=6))
+        model = build_model(arch, 1, data.input_shape, data.num_classes)
+        cfg = TrainConfig(steps=30, batch_size=32, lr=0.05, lr_drops=((15, 0.1),), seed=6)
+        final = train(model, data, cfg)
+        yield f"train {arch} unmasked params", sha(*(final.params[k] for k in sorted(final.params)))
 
 
 def main() -> None:
