@@ -21,6 +21,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from . import controllers as ctl
 from . import mask as mk
 from . import objectives as obj
 from .baselines import BaselineError
@@ -61,8 +62,7 @@ def _add_ticket_args(p: argparse.ArgumentParser) -> None:
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     """How the CTS search runs; a baseline reads none of these."""
-    p.add_argument("--controller", default=SearchConfig.controller,
-                   choices=["gradbalance", "lagrange"])
+    p.add_argument("--controller", default=SearchConfig.controller, choices=ctl.MODES)
     p.add_argument("--steps", type=int, default=SearchConfig.steps, help="search steps")
     p.add_argument("--eta", type=float, default=SearchConfig.eta)
     p.add_argument("--lambda-lr", type=float, default=SearchConfig.lambda_lr)

@@ -1,9 +1,20 @@
-"""Sparsity controllers for the mask search: Lagrange dual and GradBalance.
+"""Sparsity controllers for the mask search: one step, two lambda rules.
 
-Both take one soft-mask sample per step. The sparsity-constraint gradient is
-always the analytic closed form over the logits, never routed through the
-network graph. The logit optimizer is Adam with a step-indexed learning-rate
-schedule (a 10x drop at 90% of the search by default).
+Every step takes one soft-mask sample, the objective's logit gradient g_obj
+and the sparsity-constraint gradient g_sp at the state's ``kappa_eff`` (the
+analytic closed form over the logits, never routed through the network
+graph), and hands g_obj + lambda·g_sp to Adam. The controllers differ only in
+``kappa_eff`` and in their rule for lambda:
+
+- ``lagrange`` (dual ascent) applies the current lambda, then moves it by
+  ``lambda_lr`` times the constraint value. lambda is not projected onto
+  lambda >= 0, so it is the dual of an equality constraint.
+- ``gradbalance`` constrains the slackened ``kappa_eff`` = min(1.1·kappa, 1).
+  It first smooths lambda toward ||g_obj|| / ||g_sp|| while that constraint
+  is violated, and toward 0 once it is met, then applies the smoothed value.
+
+The logit optimizer is Adam with a step-indexed learning-rate schedule (a
+10x drop at 90% of the search by default).
 """
 
 from __future__ import annotations
@@ -18,9 +29,13 @@ from .mask import (MaskDistribution, sample_logistic, sparsity_loss,
                    sparsity_loss_grad)
 from .models import ModelState, StepSchedule
 
+MODES = ("lagrange", "gradbalance")
 GRADBALANCE_KAPPA_SLACK = 1.1
 ETA_DEFAULT = 0.99
 LAMBDA_LR_DEFAULT = 0.01
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ControllerError(Exception):
@@ -29,14 +44,14 @@ class ControllerError(Exception):
 
 @dataclass
 class ControllerState:
-    mode: str  # "lagrange" | "gradbalance"
+    mode: str  # one of MODES
     kappa: float
     lam: float = 0.0
     eta: float = ETA_DEFAULT
     lambda_lr: float = LAMBDA_LR_DEFAULT
 
     def __post_init__(self):
-        if self.mode not in ("lagrange", "gradbalance"):
+        if self.mode not in MODES:
             raise ControllerError(f"unknown controller mode '{self.mode}'")
         if not 0 <= self.eta < 1:
             raise ControllerError("eta must be in [0, 1)")
@@ -52,9 +67,6 @@ class ControllerState:
 class AdamState(StepSchedule):
     d: int
     lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr_drops: tuple = ()  # ((step, factor), ...)
     step: int = 0
     m: np.ndarray = field(default=None)
@@ -88,55 +100,35 @@ def adam_update(dist: MaskDistribution, g_alpha: np.ndarray, adam: AdamState) ->
     adam.step += 1
     t = adam.step
     m, v = adam.m, adam.v
-    buf = np.multiply(g_alpha, 1 - adam.beta1)
-    m *= adam.beta1
+    buf = np.multiply(g_alpha, 1 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += buf
-    np.multiply(g_alpha, 1 - adam.beta2, out=buf)
+    np.multiply(g_alpha, 1 - ADAM_BETA2, out=buf)
     buf *= g_alpha
-    v *= adam.beta2
+    v *= ADAM_BETA2
     v += buf
-    np.divide(v, 1 - adam.beta2 ** t, out=buf)
+    np.divide(v, 1 - ADAM_BETA2 ** t, out=buf)
     np.sqrt(buf, out=buf)
-    buf += adam.eps
-    step = np.divide(m, 1 - adam.beta1 ** t)
+    buf += ADAM_EPS
+    step = np.divide(m, 1 - ADAM_BETA1 ** t)
     step *= lr
     step /= buf
     dist.logits = np.subtract(dist.logits, step, out=step)
     return dist
 
 
-def lagrange_step(model: ModelState, dist: MaskDistribution, state: ControllerState,
-                  batch, objective: str,
-                  rng: np.random.Generator) -> tuple[np.ndarray, float, float, float]:
-    """One dual step: returns (g_alpha, g_lambda).
-
-    g_lambda is the negated constraint value, so a plain descent step on
-    lambda performs ascent on the dual.
-    """
-    if state.mode != "lagrange":
-        raise ControllerError("controller state is not in lagrange mode")
-    x, y = batch
-    eps = sample_logistic(rng, dist.d)
-    r_val, g_obj = obj.value_and_alpha_grad(objective, model, x, y,
-                                            dist.logits, eps, dist.tau)
-    ls = sparsity_loss(dist, state.kappa)
-    g_sp = sparsity_loss_grad(dist, state.kappa)
-    g_alpha = g_obj + state.lam * g_sp
-    g_lambda = -ls
-    return g_alpha, g_lambda, r_val, ls
-
-
 def gradbalance_step(model: ModelState, dist: MaskDistribution, state: ControllerState,
                      batch, objective: str,
                      rng: np.random.Generator) -> tuple[np.ndarray, float, float, float]:
-    """One GradBalance step: returns (g_alpha, updated lambda).
+    """One controller step under ``state.mode``: returns (g_alpha, lambda
+    applied, objective value, constraint value) and writes the next lambda
+    into ``state.lam``.
 
-    lambda is smoothed toward ||g_objective|| / ||g_sparsity|| while the
-    constraint is violated and toward 0 once it is met; the smoothed value
-    is the one applied this step.
+    The one step of both controllers keeps GradBalance's name because
+    perfbench's ``controllers.step`` span wraps ``gradbalance_step``; the
+    noise draw and the constraint gradient are looked up as this module's
+    globals for its ``mask.sample`` and ``mask.sparsity_grad`` spans.
     """
-    if state.mode != "gradbalance":
-        raise ControllerError("controller state is not in gradbalance mode")
     x, y = batch
     eps = sample_logistic(rng, dist.d)
     r_val, g_obj = obj.value_and_alpha_grad(objective, model, x, y,
@@ -144,15 +136,17 @@ def gradbalance_step(model: ModelState, dist: MaskDistribution, state: Controlle
     kappa_eff = state.kappa_eff
     ls = sparsity_loss(dist, kappa_eff)
     g_sp = sparsity_loss_grad(dist, kappa_eff)
-    if ls > 0:
-        sp_norm = float(np.linalg.norm(g_sp))
-        if sp_norm < 1e-12:
-            warnings.warn("degenerate constraint gradient; lambda target set to 0")
-            lam_target = 0.0
-        else:
-            lam_target = float(np.linalg.norm(g_obj)) / sp_norm
+    if state.mode == "lagrange":
+        lam = state.lam
+        state.lam = lam + state.lambda_lr * ls
     else:
         lam_target = 0.0
-    lam = state.eta * state.lam + (1 - state.eta) * lam_target
+        if ls > 0:
+            sp_norm = float(np.linalg.norm(g_sp))
+            if sp_norm < 1e-12:
+                warnings.warn("degenerate constraint gradient; lambda target set to 0")
+            else:
+                lam_target = float(np.linalg.norm(g_obj)) / sp_norm
+        lam = state.lam = state.eta * state.lam + (1 - state.eta) * lam_target
     g_alpha = g_obj + lam * g_sp
     return g_alpha, lam, r_val, ls

@@ -94,14 +94,8 @@ def search_phase(model: ModelState, cfg: SearchConfig, data: Dataset) -> tuple[m
     for step in range(cfg.steps):
         xb, yb = data.batch(step, cfg.batch_size, cfg.seed_search)
         rng = mk.step_rng(cfg.seed_search, step, stream=1)
-        if state.mode == "lagrange":
-            g_alpha, g_lambda, r_val, _ = ctl.lagrange_step(
-                model, dist, state, (xb, yb), cfg.objective, rng)
-            state.lam = state.lam - state.lambda_lr * g_lambda
-        else:
-            g_alpha, lam, r_val, _ = ctl.gradbalance_step(
-                model, dist, state, (xb, yb), cfg.objective, rng)
-            state.lam = lam
+        g_alpha, _, r_val, _ = ctl.gradbalance_step(model, dist, state, (xb, yb),
+                                                   cfg.objective, rng)
         ctl.adam_update(dist, g_alpha, adam)
 
         ed = mk.expected_density(dist)

@@ -21,6 +21,11 @@ Hashed:
 - the sanity, SNIP and LTR suites of `lenet-sweep` and `resnet-grad-search`
   at the benchmark's suite settings (seeds 3 and 4): their `metrics.csv` and
   `layers.csv`;
+- `search_phase` from a rewound model under both controllers (Lagrange at
+  lambda_lr 0.01 and 0.7, GradBalance at eta 0.99 and 0) on `tiny-mlp` with
+  `loss`, `mlp-2x256` with `kl` and `lenet-conv4` with `grad`: the final
+  logits and the trace (`objective`, `expected_density`, `lam`,
+  `overshoot_violations`);
 - `run_ltr` on `lenet-conv4` at kappa 0.02 (the `lenet-sweep` suite's
   training settings, seed 3): ticket and retrained params;
 - a `tiny-mlp` brute-force oracle table with `kl` (220 masks);
@@ -48,7 +53,7 @@ from cts.experiment import ExperimentConfig, run_experiment  # noqa: E402
 from cts.models import (ARCHS, TrainConfig, build_model, default_input_shape,  # noqa: E402
                         default_num_classes, forward, train)
 from cts.oracle import brute_force_oracle  # noqa: E402
-from cts.search import SearchConfig, run_cts  # noqa: E402
+from cts.search import SearchConfig, rewind_point, run_cts, search_phase  # noqa: E402
 
 VECTOR_BLOBS = "blobs:classes=4,dim=20,n=2000,seed={seed},separation=4"
 IMAGE_BLOBS = "blobs:classes=4,dim=64,n=2000,seed={seed},image=1"
@@ -65,6 +70,14 @@ PIPELINES = [("mlp-2x256", VECTOR_BLOBS, "kl", 0.05, 150, 30, 5, 64),
 # steps, train steps, rewind step, batch, LTR repeats
 SUITES = [("lenet-sweep", "lenet-conv4", "kl", 0.98, 3, 20, 60, 10, 32, 2),
           ("resnet-grad-search", "resnet-tiny", "grad", 0.5, 1, 1, 4, 2, 32, 1)]
+
+# search_phase cases: arch, dataset, objective, kappa, search steps, batch;
+# each searches from the model trained to step 5 of 20
+SEARCHES = [("tiny-mlp", "blobs:classes=2,dim=4,n=400,seed=3", "loss", 0.25, 60, 32),
+            ("mlp-2x256", VECTOR_BLOBS.format(seed=1), "kl", 0.05, 60, 64),
+            ("lenet-conv4", IMAGE_BLOBS.format(seed=1), "grad", 0.02, 80, 32)]
+CONTROLLERS = [("lagrange", dict(lambda_lr=0.01)), ("lagrange", dict(lambda_lr=0.7)),
+               ("gradbalance", dict(eta=0.99)), ("gradbalance", dict(eta=0.0))]
 
 
 def sha(*values) -> str:
@@ -157,6 +170,21 @@ def sweep_digests():
                         yield f"{name} s{seed} {label} {csv}", sha((out / csv).read_bytes())
 
 
+def search_digests():
+    for arch, spec, objective, kappa, steps, batch in SEARCHES:
+        data = load_dataset(spec)
+        tcfg = TrainConfig(steps=20, rewind_step=5, batch_size=batch, seed=0)
+        model = rewind_point(arch, 0, data, tcfg, kappa)
+        for controller, knob in CONTROLLERS:
+            cfg = SearchConfig(kappa=kappa, steps=steps, objective=objective,
+                               controller=controller, batch_size=batch, **knob)
+            dist, trace = search_phase(model, cfg, data)
+            (key, value), = knob.items()
+            yield (f"search_phase {arch} {objective} {controller} {key}={value}",
+                   sha(dist.logits, np.array(trace.objective), np.array(trace.expected_density),
+                       np.array(trace.lam), trace.overshoot_violations))
+
+
 def ltr_digests():
     data = load_dataset(IMAGE_BLOBS.format(seed=3))
     tcfg = TrainConfig(steps=60, rewind_step=10, batch_size=32, seed=3)
@@ -193,7 +221,7 @@ def train_digests():
 def main() -> None:
     overall = hashlib.sha256()
     for part in (objective_digests, pruner_digests, pipeline_digests, sweep_digests,
-                 ltr_digests, oracle_digests, train_digests):
+                 search_digests, ltr_digests, oracle_digests, train_digests):
         for name, digest in part():
             line = f"{digest}  {name}"
             overall.update(line.encode() + b"\n")
