@@ -6,6 +6,8 @@ pruning, and the iterative train/prune/rewind loop.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import objectives as obj
@@ -45,8 +47,9 @@ def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.nda
     """d(sum of outputs)/d|theta| * |theta| on the all-positive network.
 
     Parameters are replaced by |theta| (masked), the input is all ones, and
-    batch-norm layers are bypassed. Relu is kept; it is the identity on the
-    resulting all-positive activations.
+    batch-norm layers are bypassed, each handing its relu to the layer
+    before it. Relu is kept; it is the identity on the resulting
+    all-positive activations.
     """
     abs_model = model.masked(mask_vec)
     for name, p in abs_model.params.items():
@@ -61,11 +64,14 @@ def _synflow_surrogate_scores(model: ModelState, mask_vec: np.ndarray) -> np.nda
 
 
 def _strip_batchnorm(specs):
+    """``specs`` without their batch norms; a stripped batch norm's relu
+    moves onto the layer before it."""
     out = []
     for s in specs:
         if isinstance(s, BatchNorm):
-            continue
-        if isinstance(s, ResBlock):
+            if s.relu:
+                out[-1] = replace(out[-1], relu=True)
+        elif isinstance(s, ResBlock):
             out.append(ResBlock(tuple(_strip_batchnorm(s.inner))))
         else:
             out.append(s)

@@ -307,8 +307,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[MetricsRecord], dict[str
 
     records = _collect_records(out, [cell for cell, _ in results])
     _write_csvs(out, records)
+    failures_json = out / "failures.json"  # this run's failures, or none
     if failures:
-        (out / "failures.json").write_text(json.dumps(failures, sort_keys=True, indent=1) + "\n")
+        _replace_file(failures_json, lambda p: p.write_text(
+            json.dumps(failures, sort_keys=True, indent=1) + "\n"))
+    else:
+        failures_json.unlink(missing_ok=True)
     return records, failures
 
 

@@ -1,6 +1,7 @@
 """Small trainable architectures, masked forward passes, and SGD training.
 
-Every model is a flat list of layer specs. Dense and conv *weights* are
+Every model is a flat list of layer specs; a dense, conv or batch-norm spec
+with ``relu`` applies relu to its output. Dense and conv *weights* are
 maskable; biases and batch-norm affine parameters never are. The maskable
 entries of all layers concatenate (in layer order, C-order within a layer)
 into one flat vector of length d: the layout of tickets, mask logits and
@@ -41,6 +42,7 @@ class Dense:
     name: str
     in_dim: int
     out_dim: int
+    relu: bool = False
 
 
 @dataclass(frozen=True)
@@ -51,17 +53,14 @@ class Conv:
     kernel: int
     stride: int = 1
     padding: int = 1
+    relu: bool = False
 
 
 @dataclass(frozen=True)
 class BatchNorm:
     name: str
     ch: int
-
-
-@dataclass(frozen=True)
-class Relu:
-    pass
+    relu: bool = False
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,9 @@ class TrainConfig(StepSchedule):
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.rewind_step < self.steps or self.steps == 0):
-            raise TrainConfigError("rewind step must satisfy 0 <= k < T")
+        if not (0 <= self.rewind_step < self.steps or self.rewind_step == self.steps == 0):
+            raise TrainConfigError(f"rewind step must satisfy 0 <= k < T, or k = T = 0; "
+                                   f"got k={self.rewind_step}, T={self.steps}")
         if self.lr <= 0 or self.batch_size <= 0:
             raise TrainConfigError("rates and batch size must be positive")
         if not 0 <= self.momentum < 1:
@@ -193,19 +193,17 @@ def _flatten_specs(specs) -> list:
 def _arch_specs(arch: str, input_shape, num_classes: int):
     if arch == "mlp-2x256":
         in_dim = int(np.prod(input_shape))
-        return (Flatten(), Dense("fc1", in_dim, 256), Relu(),
-                Dense("fc2", 256, 256), Relu(),
-                Dense("fc3", 256, num_classes))
+        return (Flatten(), Dense("fc1", in_dim, 256, relu=True),
+                Dense("fc2", 256, 256, relu=True), Dense("fc3", 256, num_classes))
     if arch == "tiny-mlp":
         in_dim = int(np.prod(input_shape))
-        return (Flatten(), Dense("fc1", in_dim, 2), Relu(),
-                Dense("fc2", 2, num_classes))
+        return (Flatten(), Dense("fc1", in_dim, 2, relu=True), Dense("fc2", 2, num_classes))
     if arch == "lenet-conv4":
         c, h, w = input_shape
         fh, fw = h // 4, w // 4
-        return (Conv("conv1", c, 8, 3), Relu(), AvgPool(2),
-                Conv("conv2", 8, 16, 3), Relu(), AvgPool(2),
-                Flatten(), Dense("fc1", 16 * fh * fw, 32), Relu(),
+        return (Conv("conv1", c, 8, 3, relu=True), AvgPool(2),
+                Conv("conv2", 8, 16, 3, relu=True), AvgPool(2),
+                Flatten(), Dense("fc1", 16 * fh * fw, 32, relu=True),
                 Dense("fc2", 32, num_classes))
     if arch == "resnet-tiny":
         c, h, w = input_shape
@@ -213,10 +211,10 @@ def _arch_specs(arch: str, input_shape, num_classes: int):
         blocks = []
         for i in range(3):
             blocks.append(ResBlock((
-                Conv(f"b{i}c1", ch, ch, 3), BatchNorm(f"b{i}n1", ch), Relu(),
+                Conv(f"b{i}c1", ch, ch, 3), BatchNorm(f"b{i}n1", ch, relu=True),
                 Conv(f"b{i}c2", ch, ch, 3), BatchNorm(f"b{i}n2", ch),
             )))
-        return (Conv("stem", c, ch, 3), BatchNorm("stemn", ch), Relu(),
+        return (Conv("stem", c, ch, 3), BatchNorm("stemn", ch, relu=True),
                 *blocks, GlobalAvgPool(), Dense("fc", ch, num_classes))
     raise ModelError(f"unknown architecture '{arch}'")
 
@@ -275,31 +273,22 @@ def build_model(arch: str, seed: int, input_shape=None, num_classes=None) -> Mod
 # -- forward ----------------------------------------------------------------
 
 def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | None) -> Tensor:
-    """``h`` through ``specs``; post-relu activations go to ``features``
-    unless it is None. A dense, conv or batch-norm layer that a relu follows
-    is one node with it (``relu=True``), and so is a residual block whose
-    inner path ends in a batch norm: that batch norm takes the block's add
-    and relu. Dense and conv layers add their bias in their node. A
+    """``h`` through ``specs``; the output of each layer with ``relu`` and of
+    each residual block goes to ``features`` unless it is None. A dense,
+    conv or batch-norm layer is one node with its relu, and dense and conv
+    layers add their bias in it. A residual block whose inner path ends in a
+    batch norm hands that batch norm the block's add and relu. A
     module-level function, so a pass closes over nothing and forms no
     reference cycle."""
-    i = 0
-    while i < len(specs):
-        s = specs[i]
-        i += 1
-        fuse = (isinstance(s, (Dense, Conv, BatchNorm)) and i < len(specs)
-                and isinstance(specs[i], Relu))
+    for s in specs:
         if isinstance(s, Dense):
-            h = T.matmul(h, params[s.name + ".w"], bias=params[s.name + ".b"], relu=fuse)
+            h = T.matmul(h, params[s.name + ".w"], bias=params[s.name + ".b"], relu=s.relu)
         elif isinstance(s, Conv):
             h = T.conv2d(h, params[s.name + ".w"], stride=s.stride, padding=s.padding,
-                         bias=params[s.name + ".b"], relu=fuse)
+                         bias=params[s.name + ".b"], relu=s.relu)
         elif isinstance(s, BatchNorm):
             h = T.batch_norm(h, params[s.name + ".g"], params[s.name + ".b"], BN_EPS,
-                             relu=fuse)
-        elif isinstance(s, Relu):
-            h = T.relu(h)
-            if features is not None:
-                features.append(h)
+                             relu=s.relu)
         elif isinstance(s, AvgPool):
             h = T.avg_pool2d(h, s.k)
         elif isinstance(s, GlobalAvgPool):
@@ -314,14 +303,10 @@ def _run(specs, h: Tensor, params: dict[str, Tensor], features: list[Tensor] | N
                                  skip=h, relu=True)
             else:
                 h = T.relu(T.add(h, _run(s.inner, h, params, features)))
-            if features is not None:
-                features.append(h)
         else:
             raise ModelError(f"unknown spec {s}")
-        if fuse:
-            i += 1
-            if features is not None:
-                features.append(h)
+        if features is not None and (isinstance(s, ResBlock) or getattr(s, "relu", False)):
+            features.append(h)
     return h
 
 
@@ -334,14 +319,15 @@ def forward(model: ModelState, x: np.ndarray, y: np.ndarray | None = None,
     use in their place, such as tracked leaves or a soft-masked weight;
     every other parameter is read from ``model.params``. Hard masks go
     through ``ModelState.masked`` instead. Each dense or conv layer is one
-    ``tensor.matmul`` or ``tensor.conv2d`` node with its bias and the relu
-    after it, so a dense → relu or conv → relu unit keeps one activation.
-    Each batch norm is one ``tensor.batch_norm`` node with current-batch
-    statistics, which also holds the relu after it or, at the end of a
-    residual block, the block's add and relu; a conv → batch norm → relu
-    unit so keeps two activations. Features are the post-relu activations,
-    logits excluded. A pass forms no reference cycle, so its graph is freed
-    with the last reference to the trace.
+    ``tensor.matmul`` or ``tensor.conv2d`` node with its bias and, if its
+    spec has ``relu``, its relu, so it keeps one activation. Each batch norm
+    is one ``tensor.batch_norm`` node with current-batch statistics, which
+    also holds its spec's relu or, at the end of a residual block, the
+    block's add and relu; a conv and the batch norm after it so keep two
+    activations. Features are the outputs of the layers with ``relu`` and of
+    the residual blocks, all post-relu, logits excluded. A pass forms no
+    reference cycle, so its graph is freed with the last reference to the
+    trace.
     """
     params = {k: Tensor(v) for k, v in model.params.items()}
     params.update(param_tensors or {})

@@ -56,11 +56,8 @@ def get_kind(tag: str) -> ObjectiveKind:
 
 def normalize(x: Tensor) -> Tensor:
     """(x - mean) / sqrt(var + delta), statistics over the whole tensor."""
-    mu = T.mean(x)
-    xc = x - T.broadcast_to(T.reshape(mu, (1,) * x.data.ndim), x.shape)
-    var = T.mean(T.mul(xc, xc))
-    inv = T.power(var + NORM_DELTA, -0.5)
-    return T.mul(xc, T.broadcast_to(T.reshape(inv, (1,) * x.data.ndim), x.shape))
+    xc = x - T.mean(x)
+    return T.mul(xc, T.power(T.mean(T.mul(xc, xc)) + NORM_DELTA, -0.5))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -1,71 +1,46 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
-Covers exactly the op set the small models and pruning objectives need:
-elementwise arithmetic with broadcasting, matmul, 2-D convolution, batch
-norm, relu, exp, log-softmax, cross-entropy, the reverse KL of two
-softmaxes, reductions, slicing/concat and the L2 norm. Ops are module
-functions (``matmul``, ``sum_``, ``power``, ...); a Tensor spells only
-``+``, binary ``-`` and ``*`` as operators. ``backward`` returns the
-gradients of a scalar root for the requested tensors, as a list in their
-order. Every backward rule is itself composed of these primitives, so
-gradients can be differentiated again (needed when an objective is a function
-of a gradient, and for Hessian-vector products). Convolution's two adjoints,
-``conv2d_input_grad`` and ``conv2d_weight_grad``, are tracked primitives
-whose own vjps are convolutions and each other. Their im2col columns are
-K-major, rows (c, kh, kw) by columns (n, oh, ow), and the input adjoint adds
-its kernel offsets as flat shifts of one buffer per channel. The tests check
-that all three give the sums of the row-major (n·oh·ow, c·kh·kw) formulas
-bit for bit at the conv shapes of ``models.ARCHS``. Batch norm's input adjoint,
-``batch_norm_input_grad``, is a tracked primitive too; its own adjoint in the
-input is the one rule that is a plain numpy kernel, so a third derivative
-through batch norm raises GraphError. Average pooling is one node too:
-``avg_pool2d`` and ``avg_pool2d_grad`` are each other's adjoints, and the
-forward adds each block in the order of the reshape-and-sum it replaces.
-``log_softmax`` is one node, and so is ``cross_entropy``, the training
-loss, and ``softmax_kl``, the reverse KL, whose gradient is a numpy kernel
-that a second derivative cannot go through (GraphError). A first-order
-backward (no ``create_graph``) builds no node that only serves a vjp: a
-relu's mask multiplies the adjoint in one untracked node, and ``matmul``'s
-adjoints take their transposed operand as a plain copy, not a
-``transpose`` node.
+Ops are module functions (``matmul``, ``sum_``, ``power``, ...); a Tensor
+spells only ``+``, binary ``-`` and ``*`` as operators. They cover what the
+small models and pruning objectives need: elementwise arithmetic with
+broadcasting, relu, exp, reductions, slicing and concat, the L2 norm,
+matmul, 2-D convolution, average pooling, batch norm, and two losses over
+2-D logits, ``cross_entropy`` and ``softmax_kl`` (the reverse KL of two
+softmaxes). A layer is one node: ``matmul`` and ``conv2d`` take its bias
+and relu, ``batch_norm`` its relu or a residual block's add and relu.
 
-Every node's output is checked to be finite (NonFiniteError names the op).
-One call decides it, the sum of squares, unless that sum overflows; the
-check stays per node, because a later op can absorb a non-finite value
-(relu(-inf) = 0), and a fused relu checks its sum before relu, and not its
-output again. The ops that only move, copy, negate or zero entries
-(reshape, transpose, broadcast_to, neg, relu, narrow, embed, concat) skip
-the check when every parent is a node, not a leaf: each such parent was
-checked when it was made, and finite entries stay finite. A leaf parent is
-checked, so the op that first holds a non-finite entry is still the one
-named.
+``backward`` returns the gradients of a scalar root for the requested
+tensors, as a list in their order. Every vjp is built of these ops, so a
+gradient taken under ``create_graph`` can be differentiated again (an
+objective of a gradient, a Hessian-vector product); convolution's and
+batch norm's adjoints are tracked ops of their own. Two rules are numpy
+kernels, and a backward through them under ``create_graph`` raises
+GraphError: ``softmax_kl``'s gradient, and batch norm's input adjoint in its
+input (a third derivative through batch norm). A first-order backward
+builds no node that only serves a vjp.
 
-What a graph keeps: each node's output, and what its vjp reads besides its
-parents. A conv2d keeps no im2col columns (9× its input for a 3×3 kernel
-at stride 1): its vjp rebuilds them from the input, which the graph holds
-anyway, when the weight needs an adjoint, so a first-order step builds each
-conv's columns twice, and the copy changes no bits. A batch norm keeps its
-per-channel mean and inverse deviation, not x̂: its vjp rebuilds x̂ from the
-input, bit-equal to the forward's. A dense or conv layer's bias and the
-relu after it are applied inside its node (``matmul(bias=, relu=)``,
-``conv2d(bias=, relu=)``), so a dense → relu or conv → relu unit keeps one
-activation where the chain kept three. The relu after a batch norm and a
-residual block's add are in the batch-norm node (``batch_norm(skip=,
-relu=)``): a conv → batch norm → relu unit keeps two activations, the
-conv's output and the batch-norm node's, where the chain kept four. ``backward`` drops a
-node's adjoint as soon as that node's vjp has run, unless the node is in
-``wrt``, so a first-order sweep holds only the live frontier of adjoints on
-top of the graph; ``conv2d_input_grad`` builds its Wᵀ g product one block
-of images at a time. A node refers only to its parents and its vjp's
-closure, never back to itself or its children, and no pass in the package
-forms a reference cycle, so a graph is freed by reference counting the
-moment its last reference goes, not whenever the cyclic collector runs.
-``models.train`` drops each step's graph before the next step's forward.
+Each one-node op gives, bit for bit, the value and gradients of the chain
+of primitives it stands for, to second order where that order exists, and
+the convolution kernels give the sums of the row-major (n·oh·ow, c·kh·kw)
+products at the conv shapes of ``models.ARCHS``.
+
+Every node's output is checked finite, and NonFiniteError names the op
+that first holds a non-finite entry. Ops that only move, copy, negate or
+zero entries skip the check when every parent is a node, and a fused relu
+checks its sum before relu.
+
+A graph keeps each node's output and what its vjp reads besides its
+parents: no im2col columns (a conv's vjp rebuilds them from its input) and,
+of a batch norm, only the per-channel mean and inverse deviation.
+``backward`` drops each adjoint once its node's vjp has run, unless the
+node is in ``wrt``. A node refers only to its parents and its vjp's
+closure, and no pass forms a reference cycle, so a graph is freed by
+reference counting the moment its last reference goes.
 
 Importing this module sets glibc's allocator policy for the process
 (``_keep_freed_heap``). A graph pass over a large batch, such as
-``hard_value`` on the 256-row eval batch, holds about 27 MiB of arrays.
-Under glibc's defaults that heap top is handed back to the kernel when the
+``hard_value`` on the 256-row eval batch, holds about 27 MiB of arrays;
+under glibc's defaults that heap top is handed back to the kernel when the
 graph is freed, and the next such pass faults its pages in again.
 """
 
@@ -523,48 +498,21 @@ def _log_softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, axis: int) ->
     return g + (-g).sum(axis=axis, keepdims=True) * s ** -1.0 * e
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax as one node, bit for bit the chain of
-    primitives it replaced, ``z = a − max`` (the max a constant),
-    ``z − log Σ exp(z)``, in value and first-order gradient.
-
-    The vjp of a first-order backward computes that chain's adjoint from the
-    saved exp(z) and its sum in numpy. Under ``create_graph`` it rebuilds z
-    and Σ exp(z) as tracked nodes of ``a`` and applies the chain's adjoint
-    ops to them. Second order is then the chain's bit for bit where the
-    upstream gradient does not depend on this node's output, as in
-    cross-entropy (``grad``, ``gradnorm``, GraSP); where it does, the second
-    backward sums the same terms in another order.
-    """
-    a = _as_tensor(a)
-    out, e, s = _log_softmax(a.data, axis)
-
-    def vjp(g):
-        if not _grad_enabled:
-            return (_make(_log_softmax_grad(g.data, e, s, axis), "log_softmax_grad", (), None),)
-        z = a - broadcast_to(Tensor(np.max(a.data, axis=axis, keepdims=True)), a.shape)
-        st = sum_(exp(z), axis=axis, keepdims=True)
-        gs = mul(_unbroadcast(neg(g), st.shape), power(st, -1.0))
-        return (add(g, mul(broadcast_to(gs, a.shape), exp(z))),)
-
-    return _make(out, "log_softmax", (a,), vjp)
-
-
 def cross_entropy(a, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of 2-D logits ``a`` against integer ``labels`` as
-    one node: bit for bit the chain −mean(Σ log_softmax(a) · onehot) it
-    replaced, by that chain's numpy ops in its order, in value, first-order
-    gradient and second order.
+    one node: bit for bit the chain −mean(Σ lp · onehot) over the
+    log-softmax chain ``z = a − max`` (the max a constant),
+    ``lp = z − log Σ exp(z)``, by that chain's numpy ops in its order, in
+    value, first-order gradient and second order.
 
-    The chain hands log-softmax the upstream gradient (−g / n) · onehot,
+    The chain hands log-softmax the upstream gradient gl = (−g / n) · onehot,
     whose off-label zeros are −0.0; the vjp builds it by the same ops. A
-    first-order backward then takes log-softmax's numpy adjoint of it from
-    the saved exp(z) and Σ exp(z), as one untracked node. Under
-    ``create_graph`` that gradient is built of tracked ops of ``g`` and
-    handed to the vjp of a ``log_softmax`` node of ``a``, the tracked
-    rebuild of the chain's adjoint; where ``g`` is a constant, as for a
-    loss that is the root (``grad``, ``gradnorm``, GraSP), second order is
-    the chain's bit for bit.
+    first-order backward takes log-softmax's adjoint of gl, gl − e · Σ gl / s,
+    in numpy from the saved e = exp(z) and s = Σ exp(z), as one untracked
+    node. Under ``create_graph`` it builds gl of tracked ops of ``g``,
+    rebuilds z and s as tracked nodes of ``a`` and applies the same adjoint
+    ops to them; where ``g`` is a constant, as for a loss that is the root
+    (``grad``, ``gradnorm``, GraSP), second order is the chain's bit for bit.
     """
     a = _as_tensor(a)
     if a.data.ndim != 2:
@@ -579,7 +527,10 @@ def cross_entropy(a, labels: np.ndarray) -> Tensor:
     def vjp(g):
         if _grad_enabled:
             gl = mul(broadcast_to(mul(neg(g), scale), onehot.shape), Tensor(onehot))
-            return log_softmax(a, -1)._vjp(gl)
+            z = a - broadcast_to(Tensor(np.max(a.data, axis=-1, keepdims=True)), a.shape)
+            st = sum_(exp(z), axis=-1, keepdims=True)
+            gs = mul(_unbroadcast(neg(gl), st.shape), power(st, -1.0))
+            return (add(gl, mul(broadcast_to(gs, a.shape), exp(z))),)
         gl = -g.data * scale * onehot
         return (_make(_log_softmax_grad(gl, e, s, -1), "cross_entropy_grad", (), None),)
 
@@ -590,8 +541,8 @@ def softmax_kl(a, t: np.ndarray) -> Tensor:
     """Row mean of KL(softmax(a) ‖ softmax(t)) over 2-D logits ``a``, with
     ``t`` a constant array of a's shape, as one node: bit for bit the value
     and first-order gradient of the chain mean(Σ exp(lp)·(lp − lq)) over
-    ``lp = log_softmax(a)`` and ``lq = log_softmax(t)``, by its numpy ops in
-    its order. The gradient is not itself differentiable: a backward with
+    the log-softmaxes ``lp`` of ``a`` and ``lq`` of ``t``, by its numpy ops
+    in its order. The gradient is not itself differentiable: a backward with
     ``create_graph`` through this node raises GraphError.
     """
     a = _as_tensor(a)

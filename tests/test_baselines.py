@@ -12,7 +12,8 @@ from cts.baselines import (BaselineError, grasp_scores, magnitude_prune,
                            snip_scores, synflow_prune)
 from cts.data import make_blobs
 from cts.mask import MaskDistribution, MaskError, clamp_topk, invert_clamp, ticket_size
-from cts.models import TrainConfig, build_model, forward, train
+from cts.models import (Conv, Dense, GlobalAvgPool, ResBlock, TrainConfig, build_model,
+                        forward, train)
 from cts.objectives import teacher_layer_grads
 from cts.oracle import brute_force_oracle
 
@@ -144,6 +145,15 @@ class TestSynflow:
             mm[i] -= h
             fd = (path_objective(mp) - path_objective(mm)) / (2 * h)
             assert scores[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    def test_strip_batchnorm_moves_relu_onto_the_layer_before(self):
+        # the stem conv and each block's first conv take the relu of the batch
+        # norm after them; nothing else changes
+        specs = build_model("resnet-tiny", 0).specs
+        blocks = [ResBlock((Conv(f"b{i}c1", 8, 8, 3, relu=True), Conv(f"b{i}c2", 8, 8, 3)))
+                  for i in range(3)]
+        assert baselines._strip_batchnorm(specs) == [
+            Conv("stem", 1, 8, 3, relu=True), *blocks, GlobalAvgPool(), Dense("fc", 8, 4)]
 
     def test_density_and_no_collapse(self):
         model = build_model("mlp-2x256", 0, (8,), 2)

@@ -316,6 +316,21 @@ class TestExperiment:
         records, failures = run_experiment(cfg)
         assert failures and records == []
 
+    def test_clean_rerun_removes_failures_json(self, tmp_path, monkeypatch):
+        cfg = _exp_cfg(tmp_path, method="snip")
+        real = experiment.run_cell
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(experiment, "run_cell", boom)
+        _, failures = run_experiment(cfg)
+        assert json.loads((tmp_path / "failures.json").read_text()) == failures
+        monkeypatch.setattr(experiment, "run_cell", real)
+        _, failures = run_experiment(cfg)
+        assert not failures and not (tmp_path / "failures.json").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_failures_recorded_not_fatal(self, tmp_path):
         cfg = _exp_cfg(tmp_path)
         cfg.sparsities = (0.999,)  # round(kappa * d) == 0: empty ticket
@@ -711,7 +726,8 @@ class TestCli:
                            (task + "[search]\nbatch_size = 0", "batch_size"),
                            (task + "[search]\nalpha_lr = -0.5", "alpha_lr"),
                            (task + "[train]\nmomentum = 1.5", "momentum"),
-                           (task + "[train]\nweight_decay = -0.1", "weight_decay")]:
+                           (task + "[train]\nweight_decay = -0.1", "weight_decay"),
+                           (task + "[train]\nsteps = 0\nrewind_step = 3", "rewind")]:
             ini.write_text(text + "\n")
             assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
             assert not (out / "cells").exists()
@@ -731,6 +747,9 @@ class TestCli:
                              "0.5", "--rewind-step", "5", "--train-steps", "3"], "rewind"),
                            (["oracle", "--dataset", DATASET, "--arch", "tiny-mlp", "--kappa",
                              "0.5", "--rewind-step", "1000"], "rewind"),
+                           (["search", "--arch", "tiny-mlp", "--dataset", DATASET, "--kappa",
+                             "0.5", "--steps", "3", "--train-steps", "0", "--rewind-step",
+                             "-1"], "rewind"),
                            (["oracle", "--dataset", DATASET, "--arch", "tiny-mlp", "--kappa",
                              "0.5", "--batch-size", "0"], "batch"),
                            (["search", "--dataset", f"{DATASET},clases=3"], "clases"),

@@ -211,18 +211,20 @@ class TestGraphSize:
         monkeypatch.setattr(T, "_im2col", counting_im2col)
         obj.value_and_alpha_grad("grad", model, x, y, rng.standard_normal(model.d),
                                  sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
-        assert counts["nodes"] <= 815
+        assert counts["nodes"] <= 669
         assert counts["im2col"] == 34
 
     @pytest.mark.parametrize("arch, shape, step, most", [
         ("lenet-conv4", (1, 8, 8), "train", 26), ("lenet-conv4", (1, 8, 8), "kl", 37),
-        ("mlp-2x256", (20,), "kl", 23)], ids=["lenet-train", "lenet-kl", "mlp-kl"])
+        ("mlp-2x256", (20,), "kl", 23), ("lenet-conv4", (1, 8, 8), "grad", 327),
+        ("resnet-tiny", (1, 8, 8), "feature", 422)],
+        ids=["lenet-train", "lenet-kl", "mlp-kl", "lenet-grad", "resnet-feature"])
     def test_nodes_per_step(self, arch, shape, step, most, monkeypatch):
-        # nodes one masked train step or one kl search step builds. While a
+        # nodes one masked train step or one search step builds. While a
         # layer's bias and relu, log-softmax and the reverse KL were chains of
-        # nodes, and moving ops were checked, they were 61, 91 and 78; while
-        # cross-entropy was a chain and a first-order backward built relu-mask
-        # and transpose nodes, 41, 41 and 28
+        # nodes, and moving ops were checked, the first three were 61, 91 and
+        # 78; while cross-entropy was a chain and a first-order backward built
+        # relu-mask and transpose nodes, 41, 41 and 28
         from cts.mask import sample_logistic, step_rng
         model = build_model(arch, 0, shape, 4)
         data = small_data(image=len(shape) == 3, dim=int(np.prod(shape)), classes=4)
@@ -240,7 +242,7 @@ class TestGraphSize:
         if step == "train":
             train(model, data, TrainConfig(steps=1, batch_size=8), mask=mask)
         else:
-            obj.value_and_alpha_grad("kl", model, x, y, rng.standard_normal(model.d),
+            obj.value_and_alpha_grad(step, model, x, y, rng.standard_normal(model.d),
                                      sample_logistic(step_rng(0, 0), model.d), 2.0 / 3.0)
         assert count[0] <= most
 

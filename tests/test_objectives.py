@@ -14,6 +14,8 @@ from cts.objectives import (OBJECTIVES, ObjectiveError, hard_value, layer_match,
                             rel_loss_change, value_and_alpha_grad)
 from cts.tensor import Tensor
 
+from chains import log_softmax_chain
+
 
 def _trace(logits, loss=0.0, features=()):
     return ForwardTrace(logits=Tensor(np.asarray(logits, dtype=np.float64)),
@@ -23,8 +25,8 @@ def _trace(logits, loss=0.0, features=()):
 
 def _reverse_kl_chain(s_logits, t_logits):
     """The reverse KL as the chain of primitives the one node replaced."""
-    logp_s = T.log_softmax(s_logits, axis=-1)
-    logp_t = T.log_softmax(Tensor(t_logits), axis=-1)
+    logp_s = log_softmax_chain(s_logits)
+    logp_t = log_softmax_chain(Tensor(t_logits))
     p_s = T.exp(logp_s)
     return T.mean(T.sum_(T.mul(p_s, logp_s - logp_t), axis=-1))
 
@@ -40,6 +42,36 @@ class TestPieces:
         out = normalize(Tensor(x)).data
         assert abs(out.mean()) < 1e-10
         assert abs(out.var() - 1.0) < 1e-4  # delta slightly deflates variance
+
+    def test_normalize_bit_equal_to_explicit_broadcast(self):
+        # the value and gradient of normalize, whose whole-tensor statistics
+        # broadcast in add and mul, against the chain that reshaped and
+        # broadcast them explicitly; no reshape or broadcast node is built
+        rng = np.random.default_rng(5)
+        x, w = rng.standard_normal((4, 3, 2)) * 3 + 1, rng.standard_normal((4, 3, 2))
+
+        def explicit(t):
+            ones = (1,) * t.data.ndim
+            xc = t - T.broadcast_to(T.reshape(T.mean(t), ones), t.shape)
+            inv = T.power(T.mean(T.mul(xc, xc)) + obj.NORM_DELTA, -0.5)
+            return T.mul(xc, T.broadcast_to(T.reshape(inv, ones), t.shape))
+
+        results = []
+        for f in (normalize, explicit):
+            leaf = Tensor(x, requires_grad=True)
+            out = f(leaf)
+            (g,) = T.backward(T.sum_(T.mul(out, Tensor(w))), [leaf])
+            results.append((out, g))
+        (got, got_g), (want, want_g) = results
+        for a, b in ((got.data, want.data), (got_g.data, want_g.data)):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+        seen, stack = set(), [got]
+        while stack:
+            node = stack.pop()
+            assert node._op not in ("reshape", "broadcast")
+            stack.extend(p for p in node._parents if id(p) not in seen)
+            seen.update(id(p) for p in node._parents)
 
     def test_mse_hand_value(self):
         a = Tensor(np.array([1.0, 2.0, 3.0]))

@@ -12,6 +12,8 @@ import pytest
 import cts.tensor as T
 from cts.tensor import GraphError, NonFiniteError, ShapeError, Tensor, backward, no_grad
 
+from chains import log_softmax_chain
+
 RNG = np.random.default_rng(0)
 
 
@@ -69,19 +71,6 @@ def _assert_bit_equal(got, want):
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
-
-
-def _log(a):
-    """The tracked log the log-softmax chain was built from."""
-    return T._make(np.log(a.data), "log", (a,), lambda g: (T.mul(g, T.power(a, -1.0)),))
-
-
-def _log_softmax_chain(a, axis=-1):
-    """Log-softmax as the chain of primitives the one node replaced."""
-    shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
-    z = a - T.broadcast_to(shift, a.shape)
-    lse = _log(T.sum_(T.exp(z), axis=axis, keepdims=True))
-    return z - T.broadcast_to(lse, a.shape)
 
 
 class TestElementwise:
@@ -212,61 +201,44 @@ class TestShapes:
 
 
 class TestSoftmax:
-    def test_softmax_rows_sum_to_one(self):
+    def test_cross_entropy_grad_rows_sum_to_zero(self):
+        # the gradient is (softmax − onehot) / n, plain and under
+        # create_graph: its rows sum to zero as the softmax's sum to one
         x = RNG.standard_normal((6, 10)) * 5
-        s = T.exp(T.log_softmax(Tensor(x)))
-        np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(6), rtol=1e-12)
+        labels = np.arange(6)
+        onehot = np.eye(10)[labels]
+        for create_graph in (False, True):
+            leaf = Tensor(x, requires_grad=True)
+            (g,) = backward(T.cross_entropy(leaf, labels), [leaf], create_graph=create_graph)
+            np.testing.assert_allclose((g.data * 6 + onehot).sum(axis=-1), np.ones(6),
+                                       rtol=1e-12)
 
-    def test_log_softmax_shift_invariance(self):
-        x = RNG.standard_normal((2, 5))
-        a = T.log_softmax(Tensor(x)).data
-        b = T.log_softmax(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-9)
+    def test_cross_entropy_and_kl_shift_invariance(self):
+        # adding a constant to a row of logits changes no value or gradient
+        x, t = RNG.standard_normal((2, 5)), RNG.standard_normal((2, 5))
+        labels = np.array([1, 4])
+        results = []
+        for shift in (0.0, 100.0):
+            leaf = Tensor(x + shift, requires_grad=True)
+            for out in (T.cross_entropy(leaf, labels), T.softmax_kl(leaf, t - shift)):
+                results.append([out.data] + [g.data for g in backward(out, [leaf])])
+        for a, b in zip(results[:2], results[2:]):
+            for u, v in zip(a, b):
+                np.testing.assert_allclose(u, v, atol=1e-9)
 
-    def test_log_softmax_stable_at_large_values(self):
+    def test_cross_entropy_and_kl_stable_at_large_logits(self):
         x = np.array([[1000.0, 0.0, -1000.0]])
-        out = T.log_softmax(Tensor(x))
-        assert np.all(np.isfinite(out.data))
+        leaf = Tensor(x, requires_grad=True)
+        for out in (T.cross_entropy(leaf, np.array([2])), T.softmax_kl(leaf, -x)):
+            (g,) = backward(out, [leaf])
+            assert np.isfinite(out.item()) and np.all(np.isfinite(g.data))
+        (g,) = backward(T.cross_entropy(leaf, np.array([2])), [leaf], create_graph=True)
+        assert np.all(np.isfinite(g.data))
 
-    def test_log_softmax_fd(self):
-        x = RNG.standard_normal((2, 4))
-        w = RNG.standard_normal((2, 4))
-        _fd_check(lambda t: T.sum_(T.mul(T.log_softmax(T.reshape(t, (2, 4))), w)),
-                  x.ravel())
-
-    def test_log_softmax_is_one_node(self, monkeypatch):
-        ops = []
-        real = T._make
-
-        def counting(data, op, parents, vjp, **kw):
-            ops.append(op)
-            return real(data, op, parents, vjp, **kw)
-
-        monkeypatch.setattr(T, "_make", counting)
-        leaf = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        out = T.log_softmax(leaf)
-        assert ops == ["log_softmax"] and out._parents == (leaf,)
-
-    def test_log_softmax_bit_equal_to_chain_to_second_order(self):
-        # the value, first-order gradients (numpy adjoint, and tracked under
-        # create_graph) and a second-order grad-norm, of logits that are a
-        # product, so that second order reaches both factors. Bit for bit
-        # when, as in cross-entropy, the upstream gradient does not depend on
-        # the output; when it does, the second backward sums the same terms
-        # in another order
-        rng = np.random.default_rng(15)
-        arrays = [rng.standard_normal((6, 4)) * 3.0, rng.standard_normal((4, 5))]
-        w = rng.standard_normal((6, 5))
-
-        def run(log_softmax, square):
-            return _first_and_second(lambda x, k: log_softmax(T.matmul(x, k)), arrays, w,
-                                     square=square)
-
-        _assert_bit_equal(run(T.log_softmax, False), run(_log_softmax_chain, False))
-        got, want = run(T.log_softmax, True), run(_log_softmax_chain, True)
-        _assert_bit_equal(got[:5], want[:5])
-        for a, b in zip(got[5:], want[5:]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    def test_cross_entropy_and_kl_fd(self):
+        x, t = RNG.standard_normal((2, 4)), RNG.standard_normal((2, 4))
+        _fd_check(lambda v: T.cross_entropy(T.reshape(v, (2, 4)), np.array([3, 0])), x.ravel())
+        _fd_check(lambda v: T.softmax_kl(T.reshape(v, (2, 4)), t), x.ravel())
 
     def test_cross_entropy_bit_equal_to_chain_to_second_order(self):
         # the value, first-order gradients (numpy adjoint, and tracked under
@@ -280,7 +252,7 @@ class TestSoftmax:
         onehot[np.arange(6), labels] = 1.0
 
         def chain(logits, _):
-            logp = T.log_softmax(logits, axis=-1)
+            logp = log_softmax_chain(logits)
             return T.neg(T.mean(T.sum_(T.mul(logp, Tensor(onehot)), axis=-1)))
 
         def run(loss, weight):
