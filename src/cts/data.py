@@ -57,11 +57,13 @@ class Dataset:
         return self.x_train[idx], self.y_train[idx]
 
 
-def _check_blobs(classes: int, dim: int, n: int, image: bool) -> None:
+def _check_blobs(classes: int, dim: int, n: int, separation: float, image: bool) -> None:
     """The value rules of a blobs dataset, applied by the spec parser and by
     make_blobs alike."""
     if classes < 2 or dim < classes or n < classes:
         raise DataError("need classes >= 2, dim >= classes, n >= classes")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise DataError(f"blobs separation must be finite and >= 0, got {separation}")
     if image and math.isqrt(dim) ** 2 != dim:
         raise DataError(f"image blobs need a square dim, got {dim}")
 
@@ -74,7 +76,7 @@ def make_blobs(classes: int = 4, dim: int = 20, n: int = 4000, seed: int = 0,
     standard deviation. With image=True, dim must be a perfect square and
     samples are reshaped to (1, s, s).
     """
-    _check_blobs(classes, dim, n, image)
+    _check_blobs(classes, dim, n, separation, image)
     rng = np.random.default_rng(np.random.SeedSequence([31, seed]))
     a = rng.standard_normal((dim, classes))
     q, _ = np.linalg.qr(a)
@@ -176,7 +178,7 @@ def parse_dataset_spec(spec: str) -> tuple[str, dict]:
     if kind == "blobs":
         args = inspect.signature(make_blobs).bind(**kwargs)
         args.apply_defaults()
-        _check_blobs(*(args.arguments[k] for k in ("classes", "dim", "n", "image")))
+        _check_blobs(*(args.arguments[k] for k in ("classes", "dim", "n", "separation", "image")))
     return kind, kwargs
 
 

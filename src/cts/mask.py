@@ -81,8 +81,8 @@ def init_distribution(d: int, kappa: float, tau: float = TAU_DEFAULT,
     """All entries start at retention probability kappa."""
     if not 0 < kappa <= 1:
         raise MaskError(f"kappa must be in (0, 1], got {kappa}")
-    if tau <= 0:
-        raise MaskError(f"tau must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0):
+        raise MaskError(f"tau must be finite and positive, got {tau}")
     k = min(kappa, KAPPA_CLAMP)
     logit = float(np.log(k) - np.log1p(-k))
     return MaskDistribution(np.full(d, logit, dtype=np.float64), tau,
@@ -139,14 +139,23 @@ def ticket_size(kappa: float, d: int) -> int:
 def topk_mask(scores: np.ndarray, kappa: float) -> np.ndarray:
     """The one ticket cut: keep the ``ticket_size(kappa, d)`` highest scores.
 
-    Ties go to the lower flat index (a stable sort of descending score). A
-    -inf score sorts last, so an iterative pruner keeps its pruned weights
-    pruned by passing ``np.where(mask == 0, -np.inf, scores)``.
+    The cut is a selection, linear in d: it finds the n-th best score v with
+    a partition, keeps every score better than v and fills the rest from the
+    scores tied with v. The mask is the one a stable sort of descending
+    score gives. Ties go to the lower flat index. A -inf score sorts last,
+    so an iterative pruner keeps its pruned weights pruned by passing
+    ``np.where(mask == 0, -np.inf, scores)``; NaN sorts after -inf.
     """
     n = ticket_size(kappa, scores.size)
-    order = np.argsort(-scores, kind="stable")
-    mask = np.zeros(scores.size, dtype=np.int64)
-    mask[order[:n]] = 1
+    neg = -scores  # negation is exact, so comparing scores with -v is too
+    neg.partition(n - 1)  # NaN goes last, as in a sort
+    v = neg[n - 1]
+    if np.isnan(v):  # fewer than n scores are numbers
+        keep, tied = ~np.isnan(scores), np.isnan(scores)
+    else:
+        keep, tied = scores > -v, scores == -v
+    mask = keep.astype(np.int64)
+    mask[np.flatnonzero(tied)[:n - np.count_nonzero(keep)]] = 1
     return mask
 
 

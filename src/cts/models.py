@@ -116,12 +116,15 @@ class TrainConfig(StepSchedule):
         if not (0 <= self.rewind_step < self.steps or self.rewind_step == self.steps == 0):
             raise TrainConfigError(f"rewind step must satisfy 0 <= k < T, or k = T = 0; "
                                    f"got k={self.rewind_step}, T={self.steps}")
-        if self.lr <= 0 or self.batch_size <= 0:
-            raise TrainConfigError("rates and batch size must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise TrainConfigError(f"lr must be finite and positive, got {self.lr}")
+        if self.batch_size <= 0:
+            raise TrainConfigError(f"batch size must be positive, got {self.batch_size}")
         if not 0 <= self.momentum < 1:
             raise TrainConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise TrainConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise TrainConfigError(f"weight_decay must be finite and >= 0, "
+                                   f"got {self.weight_decay}")
         if self.seed < 0:
             raise TrainConfigError(f"train seed must be >= 0, got {self.seed}")
         for step, factor in self.lr_drops:

@@ -42,10 +42,10 @@ class SearchConfig:
             raise SearchError("search step count must be positive")
         if self.batch_size <= 0:
             raise SearchError(f"search batch_size must be positive, got {self.batch_size}")
-        if not self.alpha_lr > 0:
-            raise SearchError(f"alpha_lr must be positive, got {self.alpha_lr}")
-        if not self.lambda_lr > 0:
-            raise SearchError(f"lambda_lr must be positive, got {self.lambda_lr}")
+        for name in ("alpha_lr", "lambda_lr"):
+            rate = getattr(self, name)
+            if not (np.isfinite(rate) and rate > 0):
+                raise SearchError(f"{name} must be finite and positive, got {rate}")
         for name in ("seed_init", "seed_search", "seed_train"):
             if getattr(self, name) < 0:
                 raise SearchError(f"{name} must be >= 0, got {getattr(self, name)}")

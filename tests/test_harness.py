@@ -614,7 +614,28 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert ",".join(fields[:3]) in err and len(err.splitlines()) == 1
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # a non-finite value is a bad config value, whether a flag, a dataset
+        # spec key or an INI key sets it: exit 2 with one line, before any run
+        out = tmp_path / "out"
+        task = f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
+        cases = [(["search", "--tau", tau], "tau") for tau in ("nan", "inf")]
+        cases += [(["search", "--dataset", f"{DATASET},separation={sep}"], "separation")
+                  for sep in ("nan", "inf", "-5")]
+        for i, (section, key, value) in enumerate([
+                ("train", "lr", "nan"), ("train", "lr", "inf"), ("train", "weight_decay", "inf"),
+                ("search", "alpha_lr", "inf"), ("search", "lambda_lr", "inf"),
+                ("search", "tau", "nan")]):
+            ini = tmp_path / f"bad{i}.ini"
+            ini.write_text(f"{task}[{section}]\n{key} = {value}\n")
+            cases.append((["sweep", "--config", str(ini)], key))
+        for argv, word in cases:
+            assert cli_main(argv + ["--out", str(out)]) == 2, argv
+            assert not out.exists()
+            err = capsys.readouterr().err.strip()
+            assert word in err and len(err.splitlines()) == 1, (argv, err)
+        with pytest.raises(DataError, match="separation"):
+            make_blobs(separation=np.inf)
         assert cli_main(["search", "--objective", "entropy"]) == 2
         assert cli_main(["frobnicate"]) == 2
         assert cli_main(["search", "--precision", "float32"]) == 2

@@ -34,8 +34,9 @@ class TestInit:
                 init_distribution(10, k)
 
     def test_invalid_tau(self):
-        with pytest.raises(MaskError):
-            init_distribution(10, 0.5, tau=0.0)
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(MaskError, match="tau"):
+                init_distribution(10, 0.5, tau=tau)
 
     def test_default_tau(self):
         assert TAU_DEFAULT == pytest.approx(2.0 / 3.0)
@@ -44,6 +45,15 @@ class TestInit:
 def _sigmoid(t):
     """1 / (1 + exp(-t)) composed from tracked primitives."""
     return T.power(T.add(1.0, T.exp(T.neg(t))), -1.0)
+
+
+def _sort_topk_mask(scores, kappa):
+    """The reference cut: the first n of a stable sort of descending score."""
+    n = ticket_size(kappa, scores.size)
+    order = np.argsort(-scores, kind="stable")
+    mask = np.zeros(scores.size, dtype=np.int64)
+    mask[order[:n]] = 1
+    return mask
 
 
 def _sample(dist, rng):
@@ -196,6 +206,27 @@ class TestClamp:
         # ties, -inf ones included, go to the lower index
         order = [2, 3, 7, 0, 5, 8, 1, 4, 6, 9]
         np.testing.assert_array_equal(np.flatnonzero(m), sorted(order[:m.sum()]))
+
+    @pytest.mark.parametrize("seed, kind", enumerate(["integers", "normal", "specials", "pruned"]))
+    def test_topk_mask_equals_stable_sort(self, seed, kind):
+        # the selection keeps what the stable sort keeps, bit for bit: ties,
+        # +-inf, NaN (also fewer numbers than n) and +-0.0, from n = 1 to n = d
+        rng = np.random.default_rng(seed)
+        specials = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 2.0])
+        for _ in range(300):
+            d = int(rng.integers(1, 200))
+            if kind == "integers":
+                scores = rng.integers(-3, 4, d).astype(np.float64)
+            elif kind == "normal":
+                scores = rng.standard_normal(d)
+            elif kind == "specials":
+                scores = rng.choice(specials, d)
+            else:  # an iterative pruner's form
+                scores = np.where(rng.random(d) < 0.5, -np.inf, rng.integers(-2, 3, d) * 1.0)
+            n = int(rng.integers(1, d + 1))
+            for kappa in (n / d, 1 / d, 1.0):
+                np.testing.assert_array_equal(topk_mask(scores, kappa),
+                                              _sort_topk_mask(scores, kappa))
 
     def test_invert_disjoint_when_half(self):
         dist = MaskDistribution(np.random.default_rng(0).standard_normal(10),

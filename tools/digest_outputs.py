@@ -14,8 +14,10 @@ Hashed:
 - the value and alpha-gradient of every objective on every architecture
   (model seeds 0 and 1, batch 8), and `hard_value` on the same cases, plus
   `hard_value` on the 256-row eval batch on the two conv nets;
+- `topk_mask` on tie-heavy vectors that hold -inf and NaN, at several kappa;
 - SNIP and GraSP scores (batch 8, and the saliency batch 320 on the conv
-  nets), SynFlow surrogate scores and a 5-iteration SynFlow prune;
+  nets), SynFlow surrogate scores and a 5-iteration SynFlow prune, plus a
+  full 100-iteration SynFlow prune on `mlp-2x256` (d = 71,680) at kappa 0.02;
 - `run_cts` at the benchmark's pipeline settings (seeds 1 and 2, pipelines 0
   and 1): ticket, final params, search logits, objective at draw, test logits;
 - the sanity, SNIP and LTR suites of `lenet-sweep` and `resnet-grad-search`
@@ -118,6 +120,17 @@ def objective_digests():
                 yield f"hard_value {arch} eval256 grad", sha(obj.hard_value("grad", model, ex, ey, hard))
 
 
+def cut_digests():
+    rng = np.random.default_rng(9)
+    masks = []
+    for d in (50, 1000, 71_680):
+        scores = rng.integers(-3, 4, d).astype(np.float64)
+        scores[rng.random(d) < 0.3] = -np.inf
+        scores[rng.random(d) < 0.05] = np.nan
+        masks += [mk.topk_mask(scores, kappa) for kappa in (1 / d, 0.02, 0.5, 0.7, 0.99, 1.0)]
+    yield "topk_mask tie-heavy with -inf and NaN", sha(*masks)
+
+
 def pruner_digests():
     for arch in ARCHS:
         model = build_model(arch, 0)
@@ -129,6 +142,9 @@ def pruner_digests():
         ones = np.ones(model.d, dtype=np.int64)
         yield f"synflow_scores {arch}", sha(baselines._synflow_surrogate_scores(model, ones))
         yield f"synflow_prune {arch}", sha(baselines.synflow_prune(model, 0.5, iterations=5).mask)
+    model = build_model("mlp-2x256", 0, (20,), 4)  # d = 71,680, as on VECTOR_BLOBS
+    yield "synflow_prune mlp-2x256 d71680 k0.02 100 iterations", sha(
+        baselines.synflow_prune(model, 0.02).mask)
 
 
 def pipeline_digests():
@@ -220,7 +236,7 @@ def train_digests():
 
 def main() -> None:
     overall = hashlib.sha256()
-    for part in (objective_digests, pruner_digests, pipeline_digests, sweep_digests,
+    for part in (objective_digests, cut_digests, pruner_digests, pipeline_digests, sweep_digests,
                  search_digests, ltr_digests, oracle_digests, train_digests):
         for name, digest in part():
             line = f"{digest}  {name}"
