@@ -98,7 +98,7 @@ def cmd_search(args) -> int:
     (out / "search_trace.csv").write_text("\n".join(lines) + "\n")
     summary = {"accuracy": acc, "test_loss": loss, "density": ticket.density,
                "objective_at_draw": info["objective_at_draw"],
-               "expected_density_end": info["expected_density_end"],
+               "expected_density_end": metrics.expected_density[-1],
                "overshoot_violations": metrics.overshoot_violations}
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
     print(f"density={ticket.density:.6g} accuracy={acc:.4f} "

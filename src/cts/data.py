@@ -140,10 +140,16 @@ def load_idx(images_path, labels_path, test_fraction: float = 0.2,
                    x.shape[1:], classes)
 
 
+def _bit(value: str) -> bool:
+    if value not in ("0", "1"):
+        raise ValueError(value)
+    return value == "1"
+
+
 # The keys each dataset kind reads, with the type of each value.
 _SPEC_KEYS = {
     "blobs": {"classes": int, "dim": int, "n": int, "seed": int, "separation": float,
-              "image": lambda v: bool(int(v))},
+              "image": _bit},
     "idx": {"images": str, "labels": str, "seed": int},
 }
 

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -101,8 +101,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _cell_seeds(base_seed: int, rep: int) -> int:
-    return base_seed * 1000 + rep
+def _cell_configs(cfg: ExperimentConfig, sparsity: float,
+                  rep: int) -> tuple[TrainConfig, SearchConfig]:
+    """The train and search configs a cell runs with. The cell's seed,
+    ``cfg.seed * 1000 + rep``, is the train seed (model init and batches)
+    and the search's ``seed_init``; the search runs at kappa = 1 - sparsity
+    and draws its batches and noise from seed + 1."""
+    seed = cfg.seed * 1000 + rep
+    return (replace(cfg.train, seed=seed),
+            replace(cfg.search, kappa=1.0 - sparsity, seed_init=seed, seed_search=seed + 1,
+                    seed_train=seed + 2))
 
 
 @dataclass
@@ -129,18 +137,19 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
              group: CellGroup | None = None) -> tuple[MetricsRecord, mk.Ticket]:
     """Execute one (method, sparsity, repeat) cell. Pure given the config.
 
-    Every method draws its ticket from the rewind point and retrains it from
-    there; the cell then scores the ticket with ``hard_value`` on the eval
-    batch of seed + 1 and evaluates the retrained model. A cts cell draws
-    with ``run_cts`` unless ``group`` already holds the pair's draw or its
-    error, and leaves either there for the next cell. A sparsity that leaves
-    an empty ticket raises ``MaskError`` before any training.
+    The cell runs with the configs ``_cell_configs`` derives, and with
+    nothing else of ``cfg`` but its dataset, arch and method. Every method
+    draws its ticket from the rewind point and retrains it from there; the
+    cell then scores the ticket with ``hard_value`` on the eval batch of
+    seed + 1 and evaluates the retrained model. A cts cell draws with
+    ``run_cts`` unless ``group`` already holds the pair's draw or its
+    error, and leaves either there for the next cell. A sparsity that
+    leaves an empty ticket raises ``MaskError`` before any training.
     """
     group = group or CellGroup(cfg.dataset)
     data = group.data
-    kappa = 1.0 - sparsity
-    seed = _cell_seeds(cfg.seed, rep)
-    tcfg = TrainConfig(**{**asdict(cfg.train), "seed": seed})
+    tcfg, scfg = _cell_configs(cfg, sparsity, rep)
+    seed, kappa = tcfg.seed, scfg.kappa
     t0 = time.perf_counter()
 
     teacher = value = None
@@ -148,8 +157,6 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
         if group.error is not None:
             raise group.error
         if group.draw is None:
-            scfg = SearchConfig(**{**asdict(cfg.search), "kappa": kappa, "seed_init": seed,
-                                   "seed_search": seed + 1, "seed_train": seed + 2})
             try:
                 group.draw = run_cts(scfg, cfg.arch, data, tcfg)
             except Exception as e:
@@ -169,8 +176,7 @@ def run_cell(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str = ""
         final = train(model_k, data, tcfg, mask=ticket.mask, start_step=tcfg.rewind_step)
     if value is None:  # against the draw's teacher pass on this batch, if it took one
         ex, ey = data.eval_batch(seed=seed + 1)
-        value = obj.hard_value(cfg.search.objective, model_k, ex, ey, ticket.mask,
-                               teacher=teacher)
+        value = obj.hard_value(scfg.objective, model_k, ex, ey, ticket.mask, teacher=teacher)
     acc, _ = evaluate(final, data.x_test, data.y_test)
     wall = time.perf_counter() - t0
 
@@ -226,19 +232,17 @@ def _cell_id(method: str, sparsity: float, rep: int, variant: str = "") -> str:
 
 
 def _cell_fingerprint(cfg: ExperimentConfig, sparsity: float, rep: int, variant: str) -> str:
-    """sha256 of the config values a cell's result depends on: not the output
-    location, worker count or grid shape (sparsities, repeats, sanity), and
-    only the fields its method reads. Every method scores its ticket with
-    ``search.objective``; only cts runs the search, less the kappa and seeds
-    that ``run_cell`` sets from the cell."""
-    doc = {k: v for k, v in asdict(cfg).items()
-           if k not in ("out_dir", "workers", "sparsities", "repeats", "sanity")}
-    if cfg.method == "cts":
-        for k in ("kappa", "seed_init", "seed_search", "seed_train"):
-            del doc["search"][k]
-    else:
-        doc["search"] = {"objective": cfg.search.objective}
-    return hashlib.sha256(json.dumps([doc, sparsity, rep, variant], sort_keys=True).encode()).hexdigest()
+    """sha256 of what the cell runs with: its dataset, arch, method, variant
+    and sparsity, the ``TrainConfig`` of ``_cell_configs`` (which holds the
+    cell's seed), and its ``SearchConfig``, all of it for cts and only the
+    objective that scores the ticket for every other method. Nothing else
+    of ``cfg`` enters: not the output location, worker count or grid shape,
+    nor the seed and kappa fields that the cell's own values replace."""
+    tcfg, scfg = _cell_configs(cfg, sparsity, rep)
+    doc = {"dataset": cfg.dataset, "arch": cfg.arch, "method": cfg.method, "variant": variant,
+           "sparsity": sparsity, "train": asdict(tcfg),
+           "search": asdict(scfg) if cfg.method == "cts" else {"objective": scfg.objective}}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _replace_file(path: Path, write) -> None:
@@ -373,6 +377,8 @@ def report(csv_paths: list) -> list[tuple[str, float, float, float, int]]:
                 acc = float(parts[3])
             except (IndexError, ValueError):
                 raise ExperimentError(f"{path}:{i}: not a metrics row") from None
+            if not 0 <= acc <= 1:  # MetricsRecord's rule, which nan fails too
+                raise ExperimentError(f"{path}:{i}: accuracy out of range: {parts[3]}")
             if seen.setdefault(key, acc) != acc:
                 raise ExperimentError(f"{path}:{i}: {key[0]},{_fmt(key[1])},{key[2]} has "
                                       f"accuracy {_fmt(acc)} here, {_fmt(seen[key])} before")

@@ -15,8 +15,6 @@ the same code on the masked copy of the weights (``hard_value``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -31,27 +29,12 @@ class ObjectiveError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ObjectiveKind:
-    tag: str
-    needs_teacher: bool
-    needs_student_grads: bool
+OBJECTIVES = ("loss", "dloss", "gradnorm", "kl", "feature", "grad")
 
 
-OBJECTIVES = {
-    "loss": ObjectiveKind("loss", needs_teacher=False, needs_student_grads=False),
-    "dloss": ObjectiveKind("dloss", needs_teacher=True, needs_student_grads=False),
-    "gradnorm": ObjectiveKind("gradnorm", needs_teacher=False, needs_student_grads=True),
-    "kl": ObjectiveKind("kl", needs_teacher=True, needs_student_grads=False),
-    "feature": ObjectiveKind("feature", needs_teacher=True, needs_student_grads=False),
-    "grad": ObjectiveKind("grad", needs_teacher=True, needs_student_grads=True),
-}
-
-
-def get_kind(tag: str) -> ObjectiveKind:
+def check_objective(tag: str) -> None:
     if tag not in OBJECTIVES:
         raise ObjectiveError(f"unknown objective tag '{tag}' (choose from {sorted(OBJECTIVES)})")
-    return OBJECTIVES[tag]
 
 
 def normalize(x: Tensor) -> Tensor:
@@ -117,11 +100,11 @@ def teacher_layer_grads(model: ModelState, x, y) -> list[np.ndarray]:
 def teacher_pass(tag: str, model: ModelState, x, y) -> ForwardTrace | list[np.ndarray] | None:
     """What objective ``tag`` reads of the dense ``model`` on (x, y): the
     no-grad trace (dloss, kl, feature), the per-layer loss gradients (grad),
-    or None (loss, gradnorm)."""
-    kind = get_kind(tag)
-    if not kind.needs_teacher:
+    or None (loss, gradnorm). An unknown tag raises ``ObjectiveError``."""
+    check_objective(tag)
+    if tag in ("loss", "gradnorm"):
         return None
-    if kind.needs_student_grads:
+    if tag == "grad":
         return teacher_layer_grads(model, x, y)
     with T.no_grad():
         return forward(model, x, y if tag == "dloss" else None,
@@ -142,13 +125,13 @@ def evaluate(tag: str, model: ModelState, x, y, overlay: list[Tensor] | None = N
     beforehand by ``ModelState.masked``. gradnorm and grad take the student
     gradient from ``loss_grads``, in-graph under a tracked overlay.
     """
-    kind = get_kind(tag)
+    check_objective(tag)
     if teacher is None:
         teacher = teacher_pass(tag, model, x, y)
     weights = {} if overlay is None else {
         name: T.mul(Tensor(model.params[name]), piece)
         for (name, _, _), piece in zip(model.maskable_index, overlay, strict=True)}
-    if not kind.needs_student_grads:
+    if tag not in ("gradnorm", "grad"):
         student = forward(model, x, y if tag in ("loss", "dloss") else None,
                           capture_features=tag == "feature", param_tensors=weights)
         if tag == "loss":

@@ -50,7 +50,7 @@ class SearchConfig:
             if getattr(self, name) < 0:
                 raise SearchError(f"{name} must be >= 0, got {getattr(self, name)}")
         try:  # the rules the search applies when it starts, checked up front
-            obj.get_kind(self.objective)
+            obj.check_objective(self.objective)
             mk.init_distribution(1, self.kappa, self.tau)
             ctl.ControllerState(mode=self.controller, kappa=self.kappa, eta=self.eta)
         except (obj.ObjectiveError, mk.MaskError, ctl.ControllerError) as e:
@@ -151,6 +151,5 @@ def run_cts(cfg: SearchConfig, arch: str, data: Dataset,
         "rewind_model": model_k,
         "teacher": teacher,
         "objective_at_draw": objective_at_draw,
-        "expected_density_end": metrics.expected_density[-1],
     }
     return ticket, final, info

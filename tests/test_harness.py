@@ -194,6 +194,19 @@ def _exp_cfg(out_dir, method="cts", repeats=1, sanity=False, workers=1):
         train=TrainConfig(steps=60, batch_size=32, rewind_step=10, seed=0))
 
 
+def _count_cells(monkeypatch):
+    """The (sparsity, rep, variant) of every cell the sweeps run from here on."""
+    ran = []
+    real = experiment.run_cell
+
+    def counting(cfg, sparsity, rep, variant="", **kwargs):
+        ran.append((sparsity, rep, variant))
+        return real(cfg, sparsity, rep, variant, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_cell", counting)
+    return ran
+
+
 class TestExperiment:
     def test_metrics_record_validation(self):
         with pytest.raises(Exception):
@@ -247,24 +260,13 @@ class TestExperiment:
         assert json.loads(tickets[0].read_text())["indices"] == \
                json.loads(good)["indices"]
 
-    def _count_cells(self, monkeypatch):
-        ran = []
-        real = experiment.run_cell
-
-        def counting(cfg, sparsity, rep, variant="", **kwargs):
-            ran.append((sparsity, rep, variant))
-            return real(cfg, sparsity, rep, variant, **kwargs)
-
-        monkeypatch.setattr(experiment, "run_cell", counting)
-        return ran
-
     def test_truncated_cell_record_reruns_that_cell(self, tmp_path, monkeypatch):
         cfg = _exp_cfg(tmp_path, repeats=2)
         run_experiment(cfg)
         first = (tmp_path / "metrics.csv").read_bytes()
         cell = tmp_path / "cells" / "cts_s0.5_r1.json"
         cell.write_bytes(cell.read_bytes()[:20])  # an interrupted write
-        ran = self._count_cells(monkeypatch)
+        ran = _count_cells(monkeypatch)
         _, failures = run_experiment(cfg)
         assert not failures
         assert ran == [(0.5, 1, "")]
@@ -282,7 +284,7 @@ class TestExperiment:
         for name in ("metrics.csv", "layers.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         # the same config again reuses every cell
-        ran = self._count_cells(monkeypatch)
+        ran = _count_cells(monkeypatch)
         run_experiment(reseeded)
         assert ran == []
         assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
@@ -292,14 +294,18 @@ class TestExperiment:
         ("snip", "objective", "loss", True),  # but scores its ticket with the objective
         ("cts", "steps", 31, True),
         ("cts", "kappa", 0.3, False),       # run_cell sets kappa from the sparsity
-        ("cts", "seed_init", 7, False),     # and the seeds from the seed and repeat
+        ("cts", "seed_init", 7, False),     # and the seeds from the seed and repeat,
+        ("cts", "train.seed", 7, False),    # the train seed too, for every method
+        ("snip", "train.seed", 7, False),
     ])
     def test_fingerprint_covers_the_fields_a_method_reads(self, tmp_path, monkeypatch,
                                                           method, field, value, reruns):
+        # a field is a search field, or a train field as train.<name>
         cfg = _exp_cfg(tmp_path, method=method, repeats=2)
         run_experiment(cfg)
-        setattr(cfg.search, field, value)
-        ran = self._count_cells(monkeypatch)
+        part, _, name = field.rpartition(".")
+        setattr(getattr(cfg, part or "search"), name, value)
+        ran = _count_cells(monkeypatch)
         _, failures = run_experiment(cfg)
         assert not failures
         assert ran == ([(0.5, 0, ""), (0.5, 1, "")] if reruns else [])
@@ -454,7 +460,7 @@ class TestExperiment:
         first = {n: (out / n).read_bytes() for n in ("metrics.csv", "layers.csv")}
         for cell in ("cts+shuffle_s0.5_r0", "cts+invert_s0.5_r0"):
             (out / "cells" / f"{cell}.json").unlink()
-        ran = self._count_cells(monkeypatch)
+        ran = _count_cells(monkeypatch)
         draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
         _, failures = run_experiment(cfg)
         assert not failures
@@ -468,7 +474,7 @@ class TestExperiment:
         run_experiment(cfg)
         first = {n: (out / n).read_bytes() for n in ("metrics.csv", "layers.csv")}
         (out / "cells" / "cts_s0.5_r0.json").unlink()
-        ran = self._count_cells(monkeypatch)
+        ran = _count_cells(monkeypatch)
         draws = self._count_draws(monkeypatch, tmp_path / "draws.log")
         run_experiment(cfg)
         assert ran == [(0.5, 0, "")]
@@ -622,6 +628,8 @@ class TestCli:
         cases = [(["search", "--tau", tau], "tau") for tau in ("nan", "inf")]
         cases += [(["search", "--dataset", f"{DATASET},separation={sep}"], "separation")
                   for sep in ("nan", "inf", "-5")]
+        # image is a 0/1 switch: any other integer is a bad value, not an image
+        cases += [(["search", "--dataset", f"{DATASET},image={v}"], "image") for v in ("2", "-1")]
         for i, (section, key, value) in enumerate([
                 ("train", "lr", "nan"), ("train", "lr", "inf"), ("train", "weight_decay", "inf"),
                 ("search", "alpha_lr", "inf"), ("search", "lambda_lr", "inf"),
@@ -720,6 +728,25 @@ class TestCli:
             err = capsys.readouterr().err.strip()
             assert "--sparsities" in err and len(err.splitlines()) == 1
 
+    def test_flag_and_config_forms_share_cells(self, tmp_path, monkeypatch):
+        # one grid given as flags and as a config file runs the same cells,
+        # so either form resumes the other's output directory
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[task]\ndataset = {DATASET}\narch = tiny-mlp\n"
+                       "[sweep]\nmethod = snip\nsparsities = 0.5\nseed = 1\n"
+                       "[search]\nbatch_size = 32\n"
+                       "[train]\nsteps = 60\nrewind_step = 10\nbatch_size = 32\n")
+        flags = ["sweep", "--dataset", DATASET, "--arch", "tiny-mlp", "--method", "snip",
+                 "--sparsities", "0.5", "--seed", "1", "--train-steps", "60",
+                 "--rewind-step", "10", "--batch-size", "32"]
+        out = ["--out", str(tmp_path / "out")]
+        assert cli_main(flags + out) == 0
+        first = (tmp_path / "out" / "metrics.csv").read_bytes()
+        ran = _count_cells(monkeypatch)
+        assert cli_main(["sweep", "--config", str(ini)] + out) == 0
+        assert ran == []
+        assert (tmp_path / "out" / "metrics.csv").read_bytes() == first
+
     def test_flags_left_out_match_keys_left_out(self, tmp_path, monkeypatch):
         # a sweep given as flags and the same sweep as a config file set up
         # one config: each flag's default is its config field's default
@@ -794,6 +821,13 @@ class TestCli:
             assert cli_main(["report", str(path)]) == 2
             err = capsys.readouterr().err.strip()
             assert path.name in err and len(err.splitlines()) == 1
+        # an accuracy that is not a number in [0, 1], as MetricsRecord rules
+        for acc in ("nan", "7.5"):
+            bad = tmp_path / f"acc-{acc}.csv"
+            bad.write_text(f"method,sparsity,seed,accuracy,objective_at_draw\ncts,0.5,0,{acc},0\n")
+            assert cli_main(["report", str(bad)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert f"{bad}:2: accuracy out of range: {acc}" in err and len(err.splitlines()) == 1
         # each bad value below exits 2 with one line naming it, before any
         # output, from every command that takes it
         idx = f"idx:images={tmp_path / 'no-images.idx'},labels={tmp_path / 'no-labels.idx'}"

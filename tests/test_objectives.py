@@ -79,10 +79,22 @@ class TestPieces:
         assert mse(a, b).item() == pytest.approx((0 + 4 + 9) / 3)
 
     def test_registry(self):
-        assert set(OBJECTIVES) == {"loss", "dloss", "gradnorm", "kl", "feature", "grad"}
-        assert OBJECTIVES["kl"].needs_teacher
-        assert not OBJECTIVES["loss"].needs_teacher
-        assert OBJECTIVES["grad"].needs_student_grads
+        # the six tags, and what each reads of the dense teacher
+        assert OBJECTIVES == ("loss", "dloss", "gradnorm", "kl", "feature", "grad")
+        model = build_model("tiny-mlp", 0)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((6, 4)), rng.integers(0, 2, 6)
+        for tag in ("loss", "gradnorm"):
+            assert obj.teacher_pass(tag, model, x, y) is None
+        grads = obj.teacher_pass("grad", model, x, y)
+        assert [g.shape for g in grads] == [model.params[n].shape
+                                            for n, _, _ in model.maskable_index]
+        dense = forward(model, x, y, capture_features=True)
+        for tag in ("dloss", "kl", "feature"):
+            trace = obj.teacher_pass(tag, model, x, y)
+            np.testing.assert_array_equal(trace.logits.data, dense.logits.data)
+            assert trace.loss.item() == (dense.loss.item() if tag == "dloss" else 0.0)
+            assert len(trace.features) == (len(dense.features) if tag == "feature" else 0)
 
 
 class TestClosedForms:
@@ -241,8 +253,8 @@ class TestAlphaGradients:
         self._check("lenet-conv4", (1, 8, 8), tag)
 
     def test_unknown_tag(self):
-        with pytest.raises(ObjectiveError):
-            obj.get_kind("entropy")
+        with pytest.raises(ObjectiveError, match="entropy"):
+            obj.check_objective("entropy")
 
 
 def _sigmoid(t):
